@@ -7,10 +7,13 @@ pairs (l, m) of
     b+_{l,m} = pi_l mu1_l + (1 - pi_l) s2 - (1 - pi_m) mu0_m - pi_m s1
     b-_{l,m} = pi_l mu1_l + (1 - pi_l) s1 - (1 - pi_m) mu0_m - pi_m s2
 
-Cells come either from a learned partition (plug-in aggregation over a
-sample, soft or hard weights) or from a finite instrument alphabet. A
-quadrature/enumeration oracle evaluates the same quantities in population
-for the synthetic generators.
+Cells come either from a learned partition or from a finite instrument
+alphabet. For a learned partition, ``aggregate_cells`` is the one numpy
+kernel for the plug-in aggregates (soft or hard weights, empty cell-arms
+masked), and ``bounds_on_grid`` is the one min/max reduction; the k x k
+``pairwise_bound_matrix``/``tightest_bounds`` pair is the readable
+reference it is checked against. A quadrature/enumeration oracle evaluates
+the same quantities in population for the synthetic generators.
 """
 
 from __future__ import annotations
@@ -88,21 +91,6 @@ class RepresentationNuisance:
     valid_l: np.ndarray  # (k,) bool
     valid_m: np.ndarray  # (k,) bool
 
-    @property
-    def k(self) -> int:
-        return self.pi.shape[1]
-
-    def mu_phi(self, i: int, cell: int, arm: int) -> float:
-        ok = self.valid_l[cell] if arm == 1 else self.valid_m[cell]
-        if not ok:
-            raise EmptyCellError(cell, arm)
-        return float((self.mu1 if arm == 1 else self.mu0)[i, cell])
-
-    def pi_phi(self, i: int, cell: int) -> float:
-        if not (self.valid_l[cell] or self.valid_m[cell]):
-            raise EmptyCellError(cell)
-        return float(self.pi[i, cell])
-
 
 @dataclass
 class BoundPair:
@@ -165,70 +153,31 @@ class BoundPair:
 # --------------------------------------------------------- aggregation
 
 
-def mu_phi_cells(mu_at_x: np.ndarray, eta: np.ndarray, a: np.ndarray, weights: np.ndarray, arm: int):
-    """Plug-in per-cell outcome aggregate for one query point.
+def aggregate_cells(xq: np.ndarray, m1: np.ndarray, m0: np.ndarray, p: np.ndarray, eta: np.ndarray,
+                    a: np.ndarray, weights: np.ndarray) -> RepresentationNuisance:
+    """Plug-in per-cell aggregates on a query grid: the one numpy kernel.
 
-    Returns (values (k,), valid (k,)): value_l = sum_j mu_at_x[j] w[j,l]
-    (arm eta[j] + (1-arm)(1-eta[j])) / sum_j w[j,l] 1{a_j = arm}. Weights
-    may be soft; the arm indicator in the denominator stays hard.
+    ``m1[i, j]``, ``m0[i, j]`` and ``p[i, j]`` are the arm-1 outcome, arm-0
+    outcome and propensity predictions at (xq_i, z_j); ``eta[j]``, ``a[j]``
+    and the row ``weights[j]`` (soft or hard, on the k-simplex) belong to
+    aggregation sample j. For cell l,
+
+        mu1_l = sum_j m1[., j] eta_j w_jl / sum_j w_jl 1{a_j = 1}
+        mu0_l = sum_j m0[., j] (1 - eta_j) w_jl / sum_j w_jl 1{a_j = 0}
+        pi_l  = sum_j p[., j] w_jl / sum_j w_jl
+
+    The arm indicator stays hard even for soft weights. A cell with no
+    arm-1 (arm-0) weight is masked on the l (m) side rather than raised, and
+    its aggregate is left at 0; downstream reductions drop its pairs.
     """
-    fac = eta if arm == 1 else 1.0 - eta
-    numer = weights.T @ (mu_at_x * fac)
-    denom = weights.T @ (a == arm).astype(np.float64)
-    valid = denom > 0
-    values = np.divide(numer, denom, out=np.zeros_like(numer), where=valid)
-    return values, valid
-
-
-def pi_phi_cells(pi_at_x: np.ndarray, weights: np.ndarray):
-    """Plug-in per-cell propensity aggregate: weighted mean of pi_at_x."""
-    numer = weights.T @ pi_at_x
-    denom = weights.sum(axis=0)
-    valid = denom > 0
-    values = np.divide(numer, denom, out=np.zeros_like(numer), where=valid)
-    return values, valid
-
-
-def aggregate_mu_phi(nuisance, assignment: PartitionAssignment, z: np.ndarray, a: np.ndarray,
-                     x: float, cell: int, arm: int) -> float:
-    """Spec-shaped scalar aggregate at query x; raises on an empty cell-arm."""
-    m0, m1 = nuisance.mu.predict_pairwise(np.array([x]), z)
-    mu_at_x = (m1 if arm == 1 else m0)[0]
-    eta = nuisance.eta.predict(z)
-    values, valid = mu_phi_cells(mu_at_x, eta, a, assignment.weights, arm)
-    if not valid[cell]:
-        raise EmptyCellError(cell, arm)
-    return float(values[cell])
-
-
-def aggregate_pi_phi(nuisance, assignment: PartitionAssignment, z: np.ndarray, x: float, cell: int) -> float:
-    pi_at_x = nuisance.pi.predict_pairwise(np.array([x]), z)[0]
-    values, valid = pi_phi_cells(pi_at_x, assignment.weights)
-    if not valid[cell]:
-        raise EmptyCellError(cell)
-    return float(values[cell])
-
-
-def representation_from_estimates(nuisance, assignment: PartitionAssignment, z: np.ndarray, a: np.ndarray,
-                                  xq: np.ndarray) -> RepresentationNuisance:
-    """Evaluate all per-cell aggregates over a query grid.
-
-    Cells whose arm aggregate is undefined are masked out rather than
-    raised: downstream bound reductions simply drop their pairs.
-    """
-    w = assignment.weights
-    m0, m1 = nuisance.mu.predict_pairwise(xq, z)
-    p = nuisance.pi.predict_pairwise(xq, z)
-    eta = nuisance.eta.predict(z)
-
-    den1 = w.T @ (a == 1).astype(np.float64)
-    den0 = w.T @ (a == 0).astype(np.float64)
-    mass = w.sum(axis=0)
-    num1 = (m1 * eta[None, :]) @ w
-    num0 = (m0 * (1.0 - eta)[None, :]) @ w
+    den1 = weights.T @ (a == 1).astype(np.float64)
+    den0 = weights.T @ (a == 0).astype(np.float64)
+    mass = weights.sum(axis=0)
+    num1 = (m1 * eta[None, :]) @ weights
+    num0 = (m0 * (1.0 - eta)[None, :]) @ weights
     mu1 = np.divide(num1, den1[None, :], out=np.zeros_like(num1), where=den1[None, :] > 0)
     mu0 = np.divide(num0, den0[None, :], out=np.zeros_like(num0), where=den0[None, :] > 0)
-    pnum = p @ w
+    pnum = p @ weights
     pi = np.divide(pnum, mass[None, :], out=np.zeros_like(pnum), where=mass[None, :] > 0)
     return RepresentationNuisance(
         x=np.asarray(xq, dtype=np.float64),
@@ -238,6 +187,14 @@ def representation_from_estimates(nuisance, assignment: PartitionAssignment, z: 
         valid_l=(den1 > 0) & (mass > 0),
         valid_m=(den0 > 0) & (mass > 0),
     )
+
+
+def representation_from_estimates(nuisance, assignment: PartitionAssignment, z: np.ndarray, a: np.ndarray,
+                                  xq: np.ndarray) -> RepresentationNuisance:
+    """Per-cell aggregates of the fitted first-stage nets over a query grid."""
+    m0, m1 = nuisance.mu.predict_pairwise(xq, z)
+    p = nuisance.pi.predict_pairwise(xq, z)
+    return aggregate_cells(xq, m1, m0, p, nuisance.eta.predict(z), a, assignment.weights)
 
 
 # --------------------------------------------------------- bound algebra
@@ -306,18 +263,10 @@ def bounds_on_grid(rep: RepresentationNuisance, rng: OutcomeRange) -> BoundPair:
     )
 
 
-def discrete_instrument_bounds(pi: np.ndarray, mu1: np.ndarray, mu0: np.ndarray, rng: OutcomeRange):
-    """Bounds from nuisances on a finite instrument alphabet (one query).
-
-    Levels play the role of cells; returns (lower, upper, lower_pair,
-    upper_pair)."""
-    b_plus, b_minus = pairwise_bound_matrix(pi, mu1, mu0, rng)
-    return tightest_bounds(b_plus, b_minus)
-
-
 def discrete_bounds_on_grid(x: np.ndarray, pi: np.ndarray, mu1: np.ndarray, mu0: np.ndarray,
                             rng: OutcomeRange) -> BoundPair:
-    """Grid version of discrete_instrument_bounds; inputs are (nq, levels)."""
+    """Bounds from nuisances on a finite instrument alphabet: levels play
+    the role of cells, all valid; inputs are (nq, levels)."""
     rep = RepresentationNuisance(
         x=np.asarray(x, dtype=np.float64),
         pi=pi,

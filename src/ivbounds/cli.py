@@ -2,7 +2,7 @@
 
 Subcommands: generate, fit-nuisance, fit-partition, bounds, evaluate,
 run, reproduce, checks. Exit codes: 0 success, 1 check failure, 2 I/O
-error, 3 numeric failure.
+error or unusable input, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff, bounds, checks, data, experiments, metrics, naive, nuisance, partition
-from .nets import TrainConfig, load_checkpoint, save_checkpoint
+from . import autodiff, bounds, checks, data, experiments, metrics, nuisance, partition
+from .nets import load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -59,15 +59,17 @@ def _load_config_file(args: argparse.Namespace) -> None:
                 setattr(args, key, value)
 
 
+def _data_config(path: Path) -> dict:
+    """The config ``generate`` recorded in a data dir's manifest; empty without one."""
+    manifest = path / "manifest.json"
+    return json.loads(manifest.read_text())["config"] if manifest.exists() else {}
+
+
 def _split_dir(path: Path) -> data.DatasetSplit:
     train = data.read_csv(path / "train.csv")
     val = data.read_csv(path / "val.csv")
     test = data.read_csv(path / "test.csv")
-    seed = 0
-    manifest = path / "manifest.json"
-    if manifest.exists():
-        seed = json.loads(manifest.read_text())["config"].get("seed", 0)
-    return data.DatasetSplit(train=train, val=val, test=test, seed=seed)
+    return data.DatasetSplit(train=train, val=val, test=test, seed=_data_config(path).get("seed", 0))
 
 
 def cmd_generate(args) -> int:
@@ -123,6 +125,12 @@ def cmd_fit_partition(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.method == "oracle":
+        dataset = _data_config(Path(args.data)).get("dataset")
+        if dataset != 3:
+            found = "no manifest.json" if dataset is None else f"dataset {dataset}"
+            print(f"oracle bounds are defined for dataset 3 only; {args.data} has {found}", file=sys.stderr)
+            return EXIT_IO
     split = _split_dir(Path(args.data))
     rng_range = data.outcome_range_from_train(split.train)
     out = Path(args.out)

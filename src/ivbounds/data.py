@@ -27,20 +27,6 @@ from .rng import stream_rng
 
 
 @dataclass
-class LabeledSample:
-    """One observational tuple plus its hidden evaluation fields."""
-
-    z: np.ndarray
-    x: float
-    a: int
-    y: float
-    u: float
-    tau_true: float
-    pi_true: float
-    rho: int | None = None
-
-
-@dataclass
 class SampleBatch:
     """Column-wise sample storage; z is always 2-D (n, d)."""
 
@@ -80,18 +66,6 @@ class SampleBatch:
             tau_true=self.tau_true[idx],
             pi_true=self.pi_true[idx],
             rho=None if self.rho is None else self.rho[idx],
-        )
-
-    def row(self, i: int) -> LabeledSample:
-        return LabeledSample(
-            z=self.z[i],
-            x=float(self.x[i]),
-            a=int(self.a[i]),
-            y=float(self.y[i]),
-            u=float(self.u[i]),
-            tau_true=float(self.tau_true[i]),
-            pi_true=float(self.pi_true[i]),
-            rho=None if self.rho is None else int(self.rho[i]),
         )
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, data, metrics, naive, nuisance, partition
-from .data import OutcomeRange
 from .nets import TrainConfig, save_checkpoint
 
 MASS_FLOOR = 0.01

@@ -369,7 +369,8 @@ def decomposition_check(x: float, n: int, replicates: int, seed: int,
     pi_pop = np.array([bnd.population_aggregate_pi(pi_fn, lo, hi, x) for lo, hi in cells])
     mu1_pop = np.array([bnd.population_aggregate_mu(mu_fn, eta_fn, lo, hi, x, 1) for lo, hi in cells])
     mu0_pop = np.array([bnd.population_aggregate_mu(mu_fn, eta_fn, lo, hi, x, 0) for lo, hi in cells])
-    _, b_pop, _, _ = bnd.discrete_instrument_bounds(pi_pop, mu1_pop, mu0_pop, rng_range)
+    b_pop = bnd.discrete_bounds_on_grid(np.array([x]), pi_pop[None, :], mu1_pop[None, :], mu0_pop[None, :],
+                                        rng_range).upper[0]
 
     rng = stream_rng(seed, "decomposition")
     estimates = np.empty(replicates)
@@ -377,13 +378,12 @@ def decomposition_check(x: float, n: int, replicates: int, seed: int,
         z = dgp._mixture_instrument(n, seed * 100_003 + r)
         a = (rng.random(n) < eta_fn(z)).astype(np.int64)
         weights = bnd.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
-        mu1, v1 = bnd.mu_phi_cells(mu_fn(x, z), eta_fn(z), a, weights, arm=1)
-        mu0, v0 = bnd.mu_phi_cells(mu_fn(x, z), eta_fn(z), a, weights, arm=0)
-        pi, vp = bnd.pi_phi_cells(pi_fn(x, z), weights)
-        if not (v1.all() and v0.all() and vp.all()):
-            raise bnd.EmptyCellError(int(np.argmin(v1)))
-        _, upper, _, _ = bnd.discrete_instrument_bounds(pi, mu1, mu0, rng_range)
-        estimates[r] = upper
+        m = mu_fn(x, z)[None, :]
+        rep = bnd.aggregate_cells(np.array([x]), m, m, pi_fn(x, z)[None, :], eta_fn(z), a, weights)
+        empty = ~(rep.valid_l & rep.valid_m)
+        if empty.any():
+            raise bnd.EmptyCellError(int(np.argmax(empty)))
+        estimates[r] = bnd.bounds_on_grid(rep, rng_range).upper[0]
 
     errors = b_pop - estimates
     mse = float(np.mean(errors**2))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .data import DatasetSplit, OutcomeRange, SampleBatch
-from .nets import PropensityNet, TrainConfig, TwoHeadOutcomeNet, train_with_early_stopping
+from .nets import OUTCOME_SPEC, PROPENSITY_SPEC, TrainConfig, TwoBranchNet, train_with_early_stopping
 from .rng import stream_rng
 
 
@@ -30,9 +30,19 @@ class KMeansModel:
 
     def assign(self, z: np.ndarray) -> np.ndarray:
         """Nearest centroid; ties resolve to the smallest index."""
-        z = np.atleast_2d(z)
+        z = _instruments(z)
         d2 = ((z[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
         return np.argmin(d2, axis=1)
+
+
+def _instruments(z: np.ndarray) -> np.ndarray:
+    """Instruments as an (n, d) float array; 1-D input is n scalar instruments."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 1:
+        z = z[:, None]
+    if z.ndim != 2:
+        raise ValueError(f"z must be (n,) or (n, d), got shape {z.shape}")
+    return z
 
 
 def _inertia(z: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -55,9 +65,7 @@ def _plusplus_seed(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 def kmeans_fit(z: np.ndarray, k: int, seed: int, n_restarts: int = 10,
                tol: float = 1e-6, max_iter: int = 300) -> KMeansModel:
     """Lloyd's iterations from k-means++ seeding, best of ``n_restarts``."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[0] < z.shape[1] and z.ndim == 2 and z.shape[1] > 20:
-        raise ValueError("z must be (n, d)")
+    z = _instruments(z)
     distinct = np.unique(z, axis=0)
     if len(distinct) < k:
         raise ValueError(f"need at least {k} distinct instrument values, found {len(distinct)}")
@@ -99,8 +107,8 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 @dataclass
 class NaiveFit:
     kmeans: KMeansModel
-    mu: TwoHeadOutcomeNet
-    pi: PropensityNet
+    mu: TwoBranchNet
+    pi: TwoBranchNet
 
 
 def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
@@ -119,10 +127,10 @@ def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
         }
 
     train, val = arrays(split.train), arrays(split.val)
-    mu = TwoHeadOutcomeNet.create(1, k, stream_rng(config.seed, "naive-mu-init"))
+    mu = TwoBranchNet.create(1, k, stream_rng(config.seed, "naive-mu-init"), OUTCOME_SPEC)
     train_with_early_stopping(mu, lambda m, b: m.loss_graph(b), train, val, config,
                               rng=stream_rng(config.seed, "naive-mu-batches"))
-    pi = PropensityNet.create(1, k, stream_rng(config.seed, "naive-pi-init"))
+    pi = TwoBranchNet.create(1, k, stream_rng(config.seed, "naive-pi-init"), PROPENSITY_SPEC)
     train_with_early_stopping(pi, lambda m, b: m.loss_graph(b), train, val, config,
                               rng=stream_rng(config.seed, "naive-pi-batches"))
     return NaiveFit(kmeans=km, mu=mu, pi=pi)

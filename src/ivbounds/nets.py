@@ -1,16 +1,20 @@
 """Network architectures, the Adam optimizer and the training loop.
 
 All models are small relu MLPs (hidden width 10). The outcome and
-propensity nets encode covariate and instrument through separate branches
-joined by shared layers; the outcome net has one scalar head per treatment
-arm. The partition net maps instruments to k cells through a
-Gumbel-softmax layer and carries an auxiliary linear classification head
-on its last hidden layer.
+propensity nets are one class, ``TwoBranchNet``: covariate and instrument
+go through separate encoder branches joined by shared layers, and the
+``MlpSpec`` heads/head transform make it the outcome net (one identity head
+per treatment arm) or the propensity net (one sigmoid head). The partition
+net maps instruments to k cells through a Gumbel-softmax layer and carries
+an auxiliary linear classification head on its last hidden layer.
+
+Training builds autodiff graphs (``_stack``/``_dense``); prediction runs the
+same layers in plain numpy (``_stack_np``/``_dense_np``), which is markedly
+faster for the large pairwise evaluations.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import struct
 from dataclasses import asdict, dataclass, field
@@ -41,6 +45,10 @@ class MlpSpec:
             raise ValueError("hidden width must be >= 1")
         if self.head_transform not in ("identity", "sigmoid"):
             raise ValueError(f"unknown head transform {self.head_transform!r}")
+
+
+OUTCOME_SPEC = MlpSpec(heads=2)
+PROPENSITY_SPEC = MlpSpec(heads=1, head_transform="sigmoid")
 
 
 @dataclass
@@ -142,96 +150,47 @@ class _Net:
         raise NotImplementedError
 
 
-class TwoHeadOutcomeNet(_Net):
-    """Outcome regression E[Y | X, A, Z] with one scalar head per arm."""
+def _logistic_loss(logit: ad.Node, a: np.ndarray) -> ad.Node:
+    """Mean logistic loss in logit form: softplus(w) - a * w."""
+    a = ad.constant(_as_col(a).astype(np.float64))
+    return ad.reduce_mean(ad.sub(ad.softplus(logit), ad.mul(a, logit)))
 
-    kind = "two_head_outcome"
+
+def _head_names(heads: int) -> list[str]:
+    return ["head"] if heads == 1 else [f"head{i}" for i in range(heads)]
+
+
+class TwoBranchNet(_Net):
+    """Covariate and instrument encoders joined by a shared relu trunk, with
+    ``spec.heads`` scalar heads; the one class behind both two-branch nets.
+
+    ``spec.head_transform`` picks the model and its loss. Identity heads are
+    the outcome regression E[Y | X, A = a, Z], one head per arm, trained by
+    squared error on the head matching the treatment. A sigmoid head is the
+    propensity P(A = 1 | X, Z), trained by logistic loss.
+    """
+
+    KINDS = {("identity", 2): "two_head_outcome", ("sigmoid", 1): "propensity"}
 
     def __init__(self, x_dim: int, z_dim: int, spec: MlpSpec, params: dict):
+        key = (spec.head_transform, spec.heads)
+        if key not in self.KINDS:
+            raise ValueError(f"unsupported (head_transform, heads) {key}: need one of {sorted(self.KINDS)}")
         super().__init__(params)
+        self.kind = self.KINDS[key]
         self.x_dim = x_dim
         self.z_dim = z_dim
         self.spec = spec
+        self.head_names = _head_names(spec.heads)
 
     @classmethod
-    def create(cls, x_dim: int, z_dim: int, rng: np.random.Generator, spec: MlpSpec | None = None):
-        spec = spec or MlpSpec(heads=2)
+    def create(cls, x_dim: int, z_dim: int, rng: np.random.Generator, spec: MlpSpec):
         params: dict[str, np.ndarray] = {}
         _init_stack(rng, params, "x_enc.", x_dim, spec.x_depth, spec.hidden)
         _init_stack(rng, params, "z_enc.", z_dim, spec.z_depth, spec.hidden)
         _init_stack(rng, params, "shared.", 2 * spec.hidden, spec.shared_depth, spec.hidden)
-        _init_dense(rng, params, "head0", spec.hidden, 1)
-        _init_dense(rng, params, "head1", spec.hidden, 1)
-        return cls(x_dim, z_dim, spec, params)
-
-    def meta(self) -> dict:
-        return {"x_dim": self.x_dim, "z_dim": self.z_dim, "spec": asdict(self.spec)}
-
-    @classmethod
-    def from_meta(cls, meta: dict, params: dict):
-        return cls(meta["x_dim"], meta["z_dim"], MlpSpec(**meta["spec"]), params)
-
-    def _trunk(self, pnodes, x: np.ndarray, z: np.ndarray) -> ad.Node:
-        hx = _stack(ad.input_node(_as_col(x)), pnodes, "x_enc.", self.spec.x_depth)
-        hz = _stack(ad.input_node(_as_col(z)), pnodes, "z_enc.", self.spec.z_depth)
-        return _stack(ad.concat([hx, hz], axis=1), pnodes, "shared.", self.spec.shared_depth)
-
-    def loss_graph(self, batch: dict[str, np.ndarray]):
-        """Per-sample squared error against the head matching the treatment."""
-        pnodes = self.param_nodes()
-        h = self._trunk(pnodes, batch["x"], batch["z"])
-        y0 = _dense(h, pnodes, "head0")
-        y1 = _dense(h, pnodes, "head1")
-        a = _as_col(batch["a"]).astype(np.float64)
-        pred = ad.add(ad.mul(y1, ad.constant(a)), ad.mul(y0, ad.constant(1.0 - a)))
-        diff = ad.sub(pred, ad.constant(_as_col(batch["y"])))
-        return ad.reduce_mean(ad.mul(diff, diff)), pnodes
-
-    def _trunk_np(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        hx = _stack_np(_as_col(x), self.params, "x_enc.", self.spec.x_depth)
-        hz = _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth)
-        return _stack_np(np.concatenate([hx, hz], axis=1), self.params, "shared.", self.spec.shared_depth)
-
-    def predict(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Predictions for both arms, shape (n, 2) ordered [arm 0, arm 1]."""
-        h = self._trunk_np(x, z)
-        return np.concatenate([_dense_np(h, self.params, "head0"), _dense_np(h, self.params, "head1")], axis=1)
-
-    def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, chunk: int = 64):
-        """M_a[i, j] = prediction at (x_i, z_j); returns (M0, M1)."""
-        hx = _stack_np(_as_col(xq), self.params, "x_enc.", self.spec.x_depth)
-        hz = _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth)
-        nq, nz = hx.shape[0], hz.shape[0]
-        m0 = np.empty((nq, nz))
-        m1 = np.empty((nq, nz))
-        for lo in range(0, nq, chunk):
-            hi = min(lo + chunk, nq)
-            block = np.concatenate([np.repeat(hx[lo:hi], nz, axis=0), np.tile(hz, (hi - lo, 1))], axis=1)
-            h = _stack_np(block, self.params, "shared.", self.spec.shared_depth)
-            m0[lo:hi] = _dense_np(h, self.params, "head0").reshape(hi - lo, nz)
-            m1[lo:hi] = _dense_np(h, self.params, "head1").reshape(hi - lo, nz)
-        return m0, m1
-
-
-class PropensityNet(_Net):
-    """P(A = 1 | X, Z) with a sigmoid head, trained with logistic loss."""
-
-    kind = "propensity"
-
-    def __init__(self, x_dim: int, z_dim: int, spec: MlpSpec, params: dict):
-        super().__init__(params)
-        self.x_dim = x_dim
-        self.z_dim = z_dim
-        self.spec = spec
-
-    @classmethod
-    def create(cls, x_dim: int, z_dim: int, rng: np.random.Generator, spec: MlpSpec | None = None):
-        spec = spec or MlpSpec(heads=1, head_transform="sigmoid")
-        params: dict[str, np.ndarray] = {}
-        _init_stack(rng, params, "x_enc.", x_dim, spec.x_depth, spec.hidden)
-        _init_stack(rng, params, "z_enc.", z_dim, spec.z_depth, spec.hidden)
-        _init_stack(rng, params, "shared.", 2 * spec.hidden, spec.shared_depth, spec.hidden)
-        _init_dense(rng, params, "head", spec.hidden, 1)
+        for name in _head_names(spec.heads):
+            _init_dense(rng, params, name, spec.hidden, 1)
         return cls(x_dim, z_dim, spec, params)
 
     def meta(self) -> dict:
@@ -246,31 +205,43 @@ class PropensityNet(_Net):
         hx = _stack(ad.input_node(_as_col(batch["x"])), pnodes, "x_enc.", self.spec.x_depth)
         hz = _stack(ad.input_node(_as_col(batch["z"])), pnodes, "z_enc.", self.spec.z_depth)
         h = _stack(ad.concat([hx, hz], axis=1), pnodes, "shared.", self.spec.shared_depth)
-        logit = _dense(h, pnodes, "head")
-        a = ad.constant(_as_col(batch["a"]).astype(np.float64))
-        # Logistic loss in logit form: softplus(w) - a * w.
-        return ad.reduce_mean(ad.sub(ad.softplus(logit), ad.mul(a, logit))), pnodes
+        heads = [_dense(h, pnodes, name) for name in self.head_names]
+        if self.spec.head_transform == "sigmoid":
+            return _logistic_loss(heads[0], batch["a"]), pnodes
+        y0, y1 = heads
+        a = _as_col(batch["a"]).astype(np.float64)
+        pred = ad.add(ad.mul(y1, ad.constant(a)), ad.mul(y0, ad.constant(1.0 - a)))
+        diff = ad.sub(pred, ad.constant(_as_col(batch["y"])))
+        return ad.reduce_mean(ad.mul(diff, diff)), pnodes
 
-    def _logits_np(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        hx = _stack_np(_as_col(x), self.params, "x_enc.", self.spec.x_depth)
-        hz = _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth)
+    def _encode_np(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (_stack_np(_as_col(x), self.params, "x_enc.", self.spec.x_depth),
+                _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth))
+
+    def _heads_np(self, hx: np.ndarray, hz: np.ndarray) -> list[np.ndarray]:
+        """Transformed (n, 1) head outputs for row-aligned encodings."""
         h = _stack_np(np.concatenate([hx, hz], axis=1), self.params, "shared.", self.spec.shared_depth)
-        return _dense_np(h, self.params, "head")
+        out = [_dense_np(h, self.params, name) for name in self.head_names]
+        return [_sigmoid_np(v) for v in out] if self.spec.head_transform == "sigmoid" else out
 
     def predict(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return _sigmoid_np(self._logits_np(x, z))[:, 0]
+        """Shape (n,) for one head, else (n, heads): the outcome net gives
+        [arm 0, arm 1] columns."""
+        out = self._heads_np(*self._encode_np(x, z))
+        return out[0][:, 0] if len(out) == 1 else np.concatenate(out, axis=1)
 
-    def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, chunk: int = 64) -> np.ndarray:
-        hx = _stack_np(_as_col(xq), self.params, "x_enc.", self.spec.x_depth)
-        hz = _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth)
+    def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, chunk: int = 64):
+        """M[i, j] = prediction at (x_i, z_j), one (nq, nz) array per head:
+        the propensity net gives M, the outcome net (M0, M1)."""
+        hx, hz = self._encode_np(xq, z)
         nq, nz = hx.shape[0], hz.shape[0]
-        out = np.empty((nq, nz))
+        out = [np.empty((nq, nz)) for _ in self.head_names]
         for lo in range(0, nq, chunk):
             hi = min(lo + chunk, nq)
-            block = np.concatenate([np.repeat(hx[lo:hi], nz, axis=0), np.tile(hz, (hi - lo, 1))], axis=1)
-            h = _stack_np(block, self.params, "shared.", self.spec.shared_depth)
-            out[lo:hi] = _sigmoid_np(_dense_np(h, self.params, "head")).reshape(hi - lo, nz)
-        return out
+            heads = self._heads_np(np.repeat(hx[lo:hi], nz, axis=0), np.tile(hz, (hi - lo, 1)))
+            for m, v in zip(out, heads):
+                m[lo:hi] = v.reshape(hi - lo, nz)
+        return out[0] if len(out) == 1 else tuple(out)
 
 
 class EtaNet(_Net):
@@ -301,9 +272,7 @@ class EtaNet(_Net):
     def loss_graph(self, batch: dict[str, np.ndarray]):
         pnodes = self.param_nodes()
         h = _stack(ad.input_node(_as_col(batch["z"])), pnodes, "z_enc.", self.depth)
-        logit = _dense(h, pnodes, "head")
-        a = ad.constant(_as_col(batch["a"]).astype(np.float64))
-        return ad.reduce_mean(ad.sub(ad.softplus(logit), ad.mul(a, logit))), pnodes
+        return _logistic_loss(_dense(h, pnodes, "head"), batch["a"]), pnodes
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth)
@@ -340,25 +309,37 @@ class PartitionNet(_Net):
     def from_meta(cls, meta: dict, params: dict):
         return cls(meta["z_dim"], meta["k"], meta["depth"], meta["hidden"], params)
 
-    def logits(self, z: np.ndarray) -> np.ndarray:
+    def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(assignment logits, auxiliary logits), each (n, k)."""
         h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth)
-        return _dense_np(h, self.params, "logits")
+        return _dense_np(h, self.params, "logits"), _dense_np(h, self.params, "aux")
+
+    def forward_graph(self, pnodes: dict[str, ad.Node], z: np.ndarray) -> tuple[ad.Node, ad.Node]:
+        """Graph twin of ``forward`` on the given parameter nodes."""
+        h = _stack(ad.input_node(_as_col(z)), pnodes, "z_enc.", self.depth)
+        return _dense(h, pnodes, "logits"), _dense(h, pnodes, "aux")
+
+    def logits(self, z: np.ndarray) -> np.ndarray:
+        return self.forward(z)[0]
 
     def assign_hard(self, z: np.ndarray) -> np.ndarray:
         """Deterministic evaluation-time labels: argmax of logits, no noise."""
         return np.argmax(self.logits(z), axis=1)
 
     def assignment_graph(self, z: np.ndarray, noise: np.ndarray | None, temperature: float, hard: bool):
-        """Build the (weights, last-hidden, aux-logits) sub-graph for a batch."""
+        """Build the (cell weights, aux logits, param nodes) sub-graph for a batch.
+
+        Weights are softmax((logits + noise) / temperature), the Gumbel-softmax
+        relaxation; ``hard`` makes the forward value the exact one-hot of the
+        row argmax while the backward pass stays that of the soft weights.
+        """
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         pnodes = self.param_nodes()
-        h = _stack(ad.input_node(_as_col(z)), pnodes, "z_enc.", self.depth)
-        logits = _dense(h, pnodes, "logits")
+        logits, aux_logits = self.forward_graph(pnodes, z)
         noisy = logits if noise is None else ad.gumbel_noise_add(logits, noise)
         soft = ad.softmax(ad.div(noisy, temperature))
         weights = ad.straight_through(soft) if hard else soft
-        aux_logits = _dense(h, pnodes, "aux")
         return weights, aux_logits, pnodes
 
 
@@ -369,31 +350,6 @@ def _sigmoid_np(v: np.ndarray) -> np.ndarray:
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(shape)
     return -np.log(-np.log(u + 1e-20) + 1e-20)
-
-
-def gumbel_softmax_sample(logits: np.ndarray, temperature: float, hard: bool, rng: np.random.Generator) -> np.ndarray:
-    """Sample a relaxed (or straight-through hard) categorical vector.
-
-    Soft mode returns softmax((logits + Gumbel noise) / temperature); hard
-    mode returns the exact one-hot of the argmax. Gradient semantics live
-    in the graph path (``PartitionNet.assignment_graph``).
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
-    y = (logits + sample_gumbel(logits.shape, rng)) / temperature
-    y2 = np.atleast_2d(y)
-    shifted = y2 - y2.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    soft = e / e.sum(axis=-1, keepdims=True)
-    if hard:
-        out = np.zeros_like(soft)
-        out[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1.0
-    else:
-        out = soft
-    return out.reshape(y.shape)
 
 
 @dataclass
@@ -516,8 +472,7 @@ def train_with_early_stopping(
 
 
 _NET_KINDS = {
-    TwoHeadOutcomeNet.kind: TwoHeadOutcomeNet,
-    PropensityNet.kind: PropensityNet,
+    **dict.fromkeys(TwoBranchNet.KINDS.values(), TwoBranchNet),
     EtaNet.kind: EtaNet,
     PartitionNet.kind: PartitionNet,
 }
@@ -557,9 +512,3 @@ def load_checkpoint(path) -> _Net:
             params[entry["name"]] = np.array(arr, dtype=np.float64)
     cls = _NET_KINDS[header["kind"]]
     return cls.from_meta(header["meta"], params)
-
-
-def clone_net(net: _Net) -> _Net:
-    out = copy.copy(net)
-    out.params = net.copy_params()
-    return out

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetSplit, SampleBatch
-from .nets import EtaNet, PropensityNet, TrainConfig, TwoHeadOutcomeNet, TrainLog, train_with_early_stopping
+from .nets import (OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TrainLog, TwoBranchNet,
+                   train_with_early_stopping)
 from .rng import stream_rng
 
 
@@ -25,8 +26,8 @@ def _arrays(batch: SampleBatch) -> dict[str, np.ndarray]:
 class NuisanceSet:
     """Trained first-stage estimators with an immutability latch."""
 
-    mu: TwoHeadOutcomeNet
-    pi: PropensityNet
+    mu: TwoBranchNet
+    pi: TwoBranchNet
     eta: EtaNet
     frozen: bool = False
     logs: dict[str, TrainLog] = field(default_factory=dict)
@@ -70,21 +71,21 @@ def _fit_best(create, split: DatasetSplit, config: TrainConfig, name: str) -> tu
     return best[1], best[2]
 
 
-def fit_mu(split: DatasetSplit, config: TrainConfig) -> tuple[TwoHeadOutcomeNet, TrainLog]:
+def fit_mu(split: DatasetSplit, config: TrainConfig) -> tuple[TwoBranchNet, TrainLog]:
     """Outcome net; each sample trains only the head matching its arm."""
     if len(split.train) == 0:
         raise ValueError("empty training split")
     present = set(np.unique(split.train.a))
     if present != {0, 1}:
         raise ValueError(f"both treatment arms required in training data, found {sorted(present)}")
-    return _fit_best(lambda rng: TwoHeadOutcomeNet.create(1, split.train.d, rng), split, config, "mu")
+    return _fit_best(lambda rng: TwoBranchNet.create(1, split.train.d, rng, OUTCOME_SPEC), split, config, "mu")
 
 
-def fit_pi(split: DatasetSplit, config: TrainConfig) -> tuple[PropensityNet, TrainLog]:
+def fit_pi(split: DatasetSplit, config: TrainConfig) -> tuple[TwoBranchNet, TrainLog]:
     """Propensity net on (x, z), logistic loss."""
     if len(split.train) == 0:
         raise ValueError("empty training split")
-    return _fit_best(lambda rng: PropensityNet.create(1, split.train.d, rng), split, config, "pi")
+    return _fit_best(lambda rng: TwoBranchNet.create(1, split.train.d, rng, PROPENSITY_SPEC), split, config, "pi")
 
 
 def fit_eta(split: DatasetSplit, config: TrainConfig) -> tuple[EtaNet, TrainLog]:

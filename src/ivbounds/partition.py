@@ -11,6 +11,11 @@ log-likelihood of the batch cell masses and L_aux the cross-entropy of the
 auxiliary head against the (stop-gradient) sampled assignments. First-stage
 nuisances are frozen throughout; validation and final bound evaluation use
 noise-free argmax assignments.
+
+``composite_losses`` (validation) and ``evaluate_bounds`` aggregate through
+the one numpy kernel, ``bounds.aggregate_cells``, and reduce with
+``bounds.bounds_on_grid``; ``composite_loss_graph`` is their differentiable
+twin on autodiff nodes, used for the training steps.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bounds as bnd
-from .data import DatasetSplit, OutcomeRange, SampleBatch
+from . import naive, nets  # called as naive.kmeans_fit, nets.adam_step: wrappers set on the modules apply
+from .data import DatasetSplit, OutcomeRange, SampleBatch, outcome_range_from_train
 from .nets import PartitionNet, TrainConfig, TrainLog, sample_gumbel, train_with_early_stopping
 from .nuisance import NuisanceSet
 from .rng import stream_rng
@@ -87,13 +93,6 @@ def batch_constants(nuisances: NuisanceSet, batch: SampleBatch) -> BatchConstant
     )
 
 
-def _validity(weights: np.ndarray, a: np.ndarray):
-    den1 = weights.T @ (a == 1).astype(np.float64)
-    den0 = weights.T @ (a == 0).astype(np.float64)
-    mass = weights.sum(axis=0)
-    return (den1 > 0) & (mass > 0), (den0 > 0) & (mass > 0)
-
-
 def _selection(valid: np.ndarray) -> np.ndarray:
     k = len(valid)
     return np.eye(k)[:, valid]
@@ -131,26 +130,27 @@ def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: Ou
     labels = ad.constant(_onehot_labels(weights.value))
     l_aux = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(labels, ad.log_softmax(aux_logits)), axis=1)))
 
-    valid_l, valid_m = _validity(weights.value, const.a)
+    # Per-cell arm and sample counts; their values also give the validity masks.
+    arm1 = ad.matmul(ad.constant(const.a.reshape(1, n)), weights)
+    arm0 = ad.matmul(ad.constant((1.0 - const.a).reshape(1, n)), weights)
+    mass_counts = ad.matmul(ad.constant(np.ones((1, n))), weights)
+    valid_l = (arm1.value[0] > 0) & (mass_counts.value[0] > 0)
+    valid_m = (arm0.value[0] > 0) & (mass_counts.value[0] > 0)
     info = {"valid_l": valid_l, "valid_m": valid_m, "masses": masses.value.copy().ravel()}
     l_b = None
     if valid_l.any() and valid_m.any():
         ones_col = ad.constant(np.ones((n, 1)))
-        a1 = ad.constant(const.a.reshape(1, n))
-        a0 = ad.constant((1.0 - const.a).reshape(1, n))
-        count_row = ad.constant(np.ones((1, n)))
         s_l = ad.constant(_selection(valid_l))
         s_m = ad.constant(_selection(valid_m))
 
         num1 = ad.matmul(ad.matmul(ad.constant(const.m1 * const.eta[None, :]), weights), s_l)
-        den1 = ad.matmul(ones_col, ad.matmul(ad.matmul(a1, weights), s_l))
+        den1 = ad.matmul(ones_col, ad.matmul(arm1, s_l))
         mu1 = ad.div(num1, den1)
         num0 = ad.matmul(ad.matmul(ad.constant(const.m0 * (1.0 - const.eta)[None, :]), weights), s_m)
-        den0 = ad.matmul(ones_col, ad.matmul(ad.matmul(a0, weights), s_m))
+        den0 = ad.matmul(ones_col, ad.matmul(arm0, s_m))
         mu0 = ad.div(num0, den0)
 
         pnum = ad.matmul(ad.constant(const.p), weights)
-        mass_counts = ad.matmul(count_row, weights)
         pi_l = ad.div(ad.matmul(pnum, s_l), ad.matmul(ones_col, ad.matmul(mass_counts, s_l)))
         pi_m = ad.div(ad.matmul(pnum, s_m), ad.matmul(ones_col, ad.matmul(mass_counts, s_m)))
 
@@ -171,7 +171,7 @@ def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: Ou
     return root, parts, pnodes, info
 
 
-def composite_losses(weights: np.ndarray, aux_logits: np.ndarray | None, const: BatchConstants,
+def composite_losses(weights: np.ndarray, aux_logits: np.ndarray, const: BatchConstants,
                      rng_range: OutcomeRange, lam: float, gamma: float) -> tuple[CompositeLossBreakdown, dict]:
     """Numpy evaluation of the three loss terms for given cell weights."""
     masses = weights.mean(axis=0)
@@ -179,76 +179,18 @@ def composite_losses(weights: np.ndarray, aux_logits: np.ndarray | None, const: 
         logger.warning("cell mass clamped at %g during loss evaluation", MASS_CLAMP)
     l_reg = float(-np.sum(np.log(np.maximum(masses, MASS_CLAMP))))
 
-    if aux_logits is None:
-        l_aux = 0.0
-    else:
-        labels = np.argmax(weights, axis=1)
-        shifted = aux_logits - aux_logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        l_aux = float(-np.mean(logp[np.arange(len(labels)), labels]))
+    labels = np.argmax(weights, axis=1)
+    shifted = aux_logits - aux_logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    l_aux = float(-np.mean(logp[np.arange(len(labels)), labels]))
 
-    valid_l, valid_m = _validity(weights, const.a)
-    info = {"valid_l": valid_l, "valid_m": valid_m, "masses": masses}
-    if valid_l.any() and valid_m.any():
-        eta = const.eta
-        den1 = weights.T @ (const.a == 1).astype(np.float64)
-        den0 = weights.T @ (const.a == 0).astype(np.float64)
-        mass_counts = weights.sum(axis=0)
-        mu1 = np.divide((const.m1 * eta[None, :]) @ weights, den1[None, :], out=np.zeros((len(const), weights.shape[1])), where=den1[None, :] > 0)
-        mu0 = np.divide((const.m0 * (1.0 - eta)[None, :]) @ weights, den0[None, :], out=np.zeros((len(const), weights.shape[1])), where=den0[None, :] > 0)
-        pi = np.divide(const.p @ weights, mass_counts[None, :], out=np.zeros((len(const), weights.shape[1])), where=mass_counts[None, :] > 0)
-        rep = bnd.RepresentationNuisance(x=const.x, pi=pi, mu1=mu1, mu0=mu0, valid_l=valid_l, valid_m=valid_m)
-        pair = bnd.bounds_on_grid(rep, rng_range)
-        l_b = float(np.mean(pair.width))
+    rep = bnd.aggregate_cells(const.x, const.m1, const.m0, const.p, const.eta, const.a, weights)
+    info = {"valid_l": rep.valid_l, "valid_m": rep.valid_m, "masses": masses}
+    if rep.valid_l.any() and rep.valid_m.any():
+        l_b = float(np.mean(bnd.bounds_on_grid(rep, rng_range).width))
     else:
         l_b = np.inf
     return CompositeLossBreakdown(l_b=l_b, l_reg=l_reg, l_aux=l_aux, lam=lam, gamma=gamma), info
-
-
-def _soft_weights(net: PartitionNet, z: np.ndarray, temperature: float,
-                  rng: np.random.Generator | None) -> np.ndarray:
-    logits = net.logits(z)
-    if rng is not None:
-        logits = logits + sample_gumbel(logits.shape, rng)
-    shifted = logits / temperature
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def loss_bound(batch: SampleBatch, nuisances: NuisanceSet, net: PartitionNet, rng_range: OutcomeRange,
-               temperature: float = 1.0, rng: np.random.Generator | None = None) -> float:
-    """Mean bound width over the batch under soft assignments."""
-    if len(batch) < 2:
-        raise ValueError("need at least two samples")
-    const = batch_constants(nuisances, batch)
-    weights = _soft_weights(net, batch.z, temperature, rng)
-    breakdown, _ = composite_losses(weights, None, const, rng_range, lam=0.0, gamma=0.0)
-    return breakdown.l_b
-
-
-def loss_reg(assignment: bnd.PartitionAssignment) -> float:
-    """Negative log-likelihood of the cell masses (clamped at 1e-8)."""
-    masses = assignment.cell_masses
-    if masses.min() < MASS_CLAMP:
-        logger.warning("cell mass clamped at %g in loss_reg", MASS_CLAMP)
-    return float(-np.sum(np.log(np.maximum(masses, MASS_CLAMP))))
-
-
-def loss_aux(z: np.ndarray, net: PartitionNet, rng: np.random.Generator | None = None,
-             temperature: float = 1.0) -> float:
-    """Cross-entropy of the auxiliary head against assignment labels."""
-    h = net.logits(z)
-    if rng is not None:
-        h = h + sample_gumbel(h.shape, rng)
-    labels = np.argmax(h / temperature, axis=1)
-    from .nets import _as_col, _dense_np, _stack_np  # local to avoid cycle at import
-
-    hidden = _stack_np(_as_col(z), net.params, "z_enc.", net.depth)
-    aux = _dense_np(hidden, net.params, "aux")
-    shifted = aux - aux.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-np.mean(logp[np.arange(len(labels)), labels]))
 
 
 def hard_assignment(net: PartitionNet, z: np.ndarray) -> bnd.PartitionAssignment:
@@ -258,11 +200,8 @@ def hard_assignment(net: PartitionNet, z: np.ndarray) -> bnd.PartitionAssignment
 def validation_loss(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
                     config: TrainConfig) -> tuple[float, CompositeLossBreakdown, dict]:
     """Composite loss with deterministic hard assignments (no noise)."""
-    weights = hard_assignment(net, const.z).weights
-    from .nets import _as_col, _dense_np, _stack_np
-
-    hidden = _stack_np(_as_col(const.z), net.params, "z_enc.", net.depth)
-    aux = _dense_np(hidden, net.params, "aux")
+    logits, aux = net.forward(const.z)
+    weights = _onehot_labels(logits)
     breakdown, info = composite_losses(weights, aux, const, rng_range, config.lam, config.gamma)
     return breakdown.total, breakdown, info
 
@@ -288,11 +227,9 @@ def _fresh_partition_net(split: DatasetSplit, config: TrainConfig, tag: str) -> 
 def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
                           config: TrainConfig, tag: str, epochs: int = 25) -> None:
     """Pre-train the assignment logits toward candidate cell labels."""
-    from .nets import AdamState, adam_step
-
     onehot = np.zeros((len(labels), net.k))
     onehot[np.arange(len(labels)), labels] = 1.0
-    state = AdamState.for_params(net.params)
+    state = nets.AdamState.for_params(net.params)
     rng = stream_rng(config.seed, f"partition-warm-{tag}")
     for _ in range(epochs):
         perm = rng.permutation(len(labels))
@@ -301,13 +238,10 @@ def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
             if len(idx) < 2:
                 continue
             pnodes = net.param_nodes()
-            from .nets import _as_col, _dense, _stack
-
-            h = _stack(ad.input_node(_as_col(z[idx])), pnodes, "z_enc.", net.depth)
-            logits = _dense(h, pnodes, "logits")
+            logits, _ = net.forward_graph(pnodes, z[idx])
             ce = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(ad.constant(onehot[idx]), ad.log_softmax(logits)), axis=1)))
             grads = ad.backward_grad(ce)
-            adam_step(net.params, grads, state, config.learning_rate)
+            nets.adam_step(net.params, grads, state, config.learning_rate)
 
 
 def _quantile_labels(values: np.ndarray, k: int) -> np.ndarray:
@@ -330,10 +264,8 @@ def _candidate_nets(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCo
             _warm_start_to_labels(net, split.train.z, _quantile_labels(eta_vals, config.k), config, "eta")
             candidates.append(net)
     if config.restarts >= 3 and config.k >= 2:
-        from .naive import kmeans_fit
-
         try:
-            km = kmeans_fit(split.train.z, config.k, config.seed, n_restarts=3)
+            km = naive.kmeans_fit(split.train.z, config.k, config.seed, n_restarts=3)
         except ValueError:
             km = None
         if km is not None:
@@ -364,8 +296,6 @@ def train_partition(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCo
     """
     if not nuisances.frozen:
         raise ValueError("first-stage nuisances must be frozen before the second stage")
-    from .data import outcome_range_from_train
-
     rng_range = rng_range or outcome_range_from_train(split.train)
     train_const = batch_constants(nuisances, split.train)
     val_const = batch_constants(nuisances, split.val)
@@ -446,26 +376,6 @@ def evaluate_bounds(net: PartitionNet, nuisances: NuisanceSet, batch: SampleBatc
         "valid_m": rep.valid_m,
     }
     return pair, diag
-
-
-def tune_gamma(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig,
-               n_draws: int = 8) -> tuple[float, list[dict]]:
-    """Random-search gamma over [0, 1], scored by validation L_b + lam L_reg."""
-    from dataclasses import replace
-
-    from .data import outcome_range_from_train
-
-    rng_range = outcome_range_from_train(split.train)
-    draw_rng = stream_rng(config.seed, "gamma-search")
-    val_const = batch_constants(nuisances, split.val)
-    trials = []
-    for gamma in draw_rng.random(n_draws):
-        trial_config = replace(config, gamma=float(gamma))
-        net, _, _ = train_partition(split, nuisances, trial_config, rng_range)
-        _, breakdown, _ = validation_loss(net, val_const, rng_range, trial_config)
-        trials.append({"gamma": float(gamma), "score": breakdown.l_b + config.lam * breakdown.l_reg})
-    best = min(trials, key=lambda t: t["score"])
-    return best["gamma"], trials
 
 
 TRAIN_LOG_COLUMNS = ["epoch", "l_b", "l_reg", "l_aux", "total", "val_total", "min_cell_mass"]

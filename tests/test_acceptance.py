@@ -200,8 +200,9 @@ def test_criterion_7_estimator_consistency():
         z = data._mixture_instrument(n, 5)
         a = (stream_rng(5, "treat").random(n) < eta_fn(z)).astype(int)
         weights = bounds.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
-        mu_vals, _ = bounds.mu_phi_cells(mu_fn(x, z), eta_fn(z), a, weights, arm=1)
-        pi_vals, _ = bounds.pi_phi_cells(pi_fn(x, z), weights)
+        m = mu_fn(x, z)[None, :]
+        rep = bounds.aggregate_cells(np.array([x]), m, m, pi_fn(x, z)[None, :], eta_fn(z), a, weights)
+        mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
         dev = max(
             max(abs(mu_vals[c] - mu_pop[c]) for c in range(2)),
             max(abs(pi_vals[c] - pi_pop[c]) for c in range(2)),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivbounds import autodiff as ad
-from ivbounds.rng import stream_rng
+from ivbounds import checks
 
 
 def scalar_input(v):
@@ -121,46 +121,13 @@ def test_mlp_gradient_matches_finite_differences():
     assert err < 1e-4
 
 
-FD_CASES = {
-    "matmul": lambda x: ad.reduce_sum(ad.matmul(x, ad.constant(np.arange(6.0).reshape(3, 2)))),
-    "add": lambda x: ad.reduce_sum(ad.add(ad.add(x, ad.constant(np.ones((2, 3)))), 0.5)),
-    "sub": lambda x: ad.reduce_sum(ad.sub(ad.sub(x, ad.constant(np.ones((2, 3)))), 0.25)),
-    "mul": lambda x: ad.reduce_sum(ad.mul(ad.mul(x, ad.constant(np.full((2, 3), 1.5))), 2.0)),
-    "div": lambda x: ad.reduce_sum(ad.div(ad.div(x, ad.constant(np.full((2, 3), 2.0))), 4.0)),
-    "neg": lambda x: ad.reduce_sum(ad.neg(x)),
-    "relu": lambda x: ad.reduce_sum(ad.relu(x)),
-    "sigmoid": lambda x: ad.reduce_sum(ad.sigmoid(x)),
-    "softmax": lambda x: ad.reduce_sum(ad.mul(ad.softmax(x), ad.constant(np.arange(6.0).reshape(2, 3)))),
-    "log_softmax": lambda x: ad.reduce_sum(ad.mul(ad.log_softmax(x), ad.constant(np.arange(6.0).reshape(2, 3)))),
-    "softplus": lambda x: ad.reduce_sum(ad.softplus(x)),
-    "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0))),
-    "exp": lambda x: ad.reduce_sum(ad.exp(x)),
-    "clip_min": lambda x: ad.reduce_sum(ad.clip_min(x, 0.1)),
-    "sum": lambda x: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=1), ad.constant(np.array([1.0, 2.0])))),
-    "mean": lambda x: ad.reduce_sum(ad.mul(ad.reduce_mean(x, axis=0), ad.constant(np.array([1.0, -1.0, 2.0])))),
-    "min": lambda x: ad.reduce_sum(ad.reduce_min(x, axis=1)),
-    "max": lambda x: ad.reduce_sum(ad.reduce_max(x, axis=1)),
-    "concat": lambda x: ad.reduce_sum(
-        ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=1), ad.constant(np.arange(12.0).reshape(2, 6)))
-    ),
-    "gumbel_noise_add": lambda x: ad.reduce_sum(
-        ad.sigmoid(ad.gumbel_noise_add(x, np.linspace(-1, 1, 6).reshape(2, 3)))
-    ),
-}
-
-
-@pytest.mark.parametrize("op", sorted(FD_CASES))
+@pytest.mark.parametrize("op", sorted(checks.GRADIENT_CASES))
 def test_each_op_gradient_vs_finite_differences(op):
-    rng = stream_rng(0, f"gradient {op}")
-    point = rng.normal(size=(2, 3))
-    # Resample away from relu/clip/min/max non-differentiable points.
-    point = np.where(np.abs(point) < 1e-3, point + 0.1, point)
-    point = np.where(np.abs(point - 0.1) < 1e-3, point + 0.05, point)
-    assert ad.finite_diff_check(FD_CASES[op], point, step=1e-5) < 1e-4
+    assert ad.finite_diff_check(checks.GRADIENT_CASES[op], checks.gradient_point(op), step=1e-5) < 1e-4
 
 
 def test_fd_cases_cover_every_checkable_op_kind():
-    assert set(FD_CASES) == set(ad.FD_CHECKABLE_OP_KINDS)
+    assert set(checks.GRADIENT_CASES) == set(ad.FD_CHECKABLE_OP_KINDS)
 
 
 def test_detach_contract():

@@ -1,8 +1,6 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivbounds import bounds, data
@@ -25,6 +23,11 @@ def test_partition_assignment_validation():
 # ------------------------------------------------------------ aggregates
 
 
+def _at_one_point(mu, pi, eta, a, weights):
+    """The aggregate kernel at a single query point, one outcome prediction for both arms."""
+    return bounds.aggregate_cells(np.zeros(1), mu[None, :], mu[None, :], pi[None, :], eta, a, weights)
+
+
 def test_aggregate_constant_nuisances_recover_constant():
     c, p = 0.37, 0.6
     rng = stream_rng(0, "agg")
@@ -32,9 +35,9 @@ def test_aggregate_constant_nuisances_recover_constant():
     z = rng.normal(size=n)
     a = (rng.random(n) < p).astype(int)
     weights = bounds.PartitionAssignment.from_labels((z > 0).astype(int), 2).weights
-    values, valid = bounds.mu_phi_cells(np.full(n, c), np.full(n, p), a, weights, arm=1)
-    assert valid.all()
-    assert np.all(np.abs(values - c) < 0.02)
+    rep = _at_one_point(np.full(n, c), np.full(n, 0.5), np.full(n, p), a, weights)
+    assert rep.valid_l.all()
+    assert np.all(np.abs(rep.mu1[0] - c) < 0.02)
 
 
 def test_aggregate_single_cell_reduces_to_simple_ratio():
@@ -44,47 +47,76 @@ def test_aggregate_single_cell_reduces_to_simple_ratio():
     eta = rng.random(n)
     a = (rng.random(n) < 0.5).astype(int)
     weights = np.ones((n, 1))
-    values, valid = bounds.mu_phi_cells(mu, eta, a, weights, arm=1)
+    rep = _at_one_point(mu, np.full(n, 0.5), eta, a, weights)
     expected = np.sum(mu * eta) / np.sum(a == 1)
-    assert valid[0]
-    assert values[0] == pytest.approx(expected, rel=1e-12)
+    assert rep.valid_l[0]
+    assert rep.mu1[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_aggregate_empty_cell_arm_raises_with_indices():
+def test_aggregate_empty_cell_arm_is_masked():
+    # Both samples are untreated and sit in cell 0; cell 1 is empty.
     mu = np.array([1.0, 2.0])
     eta = np.array([0.5, 0.5])
     a = np.array([0, 0])
     weights = np.array([[1.0, 0.0], [1.0, 0.0]])
-    values, valid = bounds.mu_phi_cells(mu, eta, a, weights, arm=1)
-    assert not valid.any()
-
-    nuisance = SimpleNamespace(
-        mu=SimpleNamespace(predict_pairwise=lambda xq, z: (np.ones((1, 2)), np.ones((1, 2)))),
-        pi=SimpleNamespace(predict_pairwise=lambda xq, z: np.full((1, 2), 0.5)),
-        eta=SimpleNamespace(predict=lambda z: np.full(2, 0.5)),
-    )
-    assignment = bounds.PartitionAssignment(weights, "hard")
-    with pytest.raises(bounds.EmptyCellError) as exc:
-        bounds.aggregate_mu_phi(nuisance, assignment, np.zeros((2, 1)), a, 0.0, cell=0, arm=1)
-    assert (exc.value.cell, exc.value.arm) == (0, 1)
+    rep = _at_one_point(mu, np.full(2, 0.5), eta, a, weights)
+    # Cell 0 has arm 0 only: usable on the m side alone. Cell 1 is usable on neither.
+    np.testing.assert_array_equal(rep.valid_l, [False, False])
+    np.testing.assert_array_equal(rep.valid_m, [True, False])
+    assert rep.mu1[0, 0] == 0.0
+    assert rep.mu0[0, 0] == pytest.approx(0.75, abs=1e-15)
     with pytest.raises(bounds.EmptyCellError):
-        bounds.aggregate_pi_phi(nuisance, assignment, np.zeros((2, 1)), 0.0, cell=1)
+        bounds.bounds_on_grid(rep, UNIT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, 1)), min_size=1, max_size=30),
+        )
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_aggregate_cells_hard_weights_match_brute_force(case, seed):
+    k, samples = case
+    labels = np.array([cell for cell, _ in samples])
+    a = np.array([arm for _, arm in samples])
+    n, nq = len(samples), 3
+    rng = np.random.default_rng(seed)
+    m1, m0, p = rng.normal(size=(nq, n)), rng.normal(size=(nq, n)), rng.random((nq, n))
+    eta = rng.random(n)
+    weights = bounds.PartitionAssignment.from_labels(labels, k).weights
+    rep = bounds.aggregate_cells(np.linspace(-1, 1, nq), m1, m0, p, eta, a, weights)
+    for cell in range(k):
+        members = labels == cell
+        n1, n0 = int(np.sum(members & (a == 1))), int(np.sum(members & (a == 0)))
+        # An empty cell-arm is masked on its own side only, never raised.
+        assert rep.valid_l[cell] == (n1 > 0)
+        assert rep.valid_m[cell] == (n0 > 0)
+        expected_mu1 = (m1[:, members] * eta[members]).sum(axis=1) / n1 if n1 else np.zeros(nq)
+        expected_mu0 = (m0[:, members] * (1.0 - eta[members])).sum(axis=1) / n0 if n0 else np.zeros(nq)
+        expected_pi = p[:, members].mean(axis=1) if members.any() else np.zeros(nq)
+        np.testing.assert_allclose(rep.mu1[:, cell], expected_mu1, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.mu0[:, cell], expected_mu0, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.pi[:, cell], expected_pi, rtol=1e-12, atol=1e-12)
 
 
 def test_pi_aggregate_constant_is_exact():
     rng = stream_rng(2, "agg")
     weights = bounds.PartitionAssignment.from_labels(rng.integers(0, 3, 200), 3).weights
-    values, valid = bounds.pi_phi_cells(np.full(200, 0.42), weights)
-    np.testing.assert_allclose(values[valid], 0.42, atol=1e-12)
+    rep = _at_one_point(np.zeros(200), np.full(200, 0.42), np.full(200, 0.5), np.arange(200) % 2, weights)
+    np.testing.assert_allclose(rep.pi[0][rep.valid_l | rep.valid_m], 0.42, atol=1e-12)
 
 
 def test_pi_aggregate_separable_split():
     z = np.linspace(-1, 1, 400)
     pi_at_x = (z > 0).astype(np.float64)
     weights = bounds.PartitionAssignment.from_labels((z > 0).astype(int), 2).weights
-    values, valid = bounds.pi_phi_cells(pi_at_x, weights)
-    assert valid.all()
-    np.testing.assert_array_equal(values, [0.0, 1.0])
+    rep = _at_one_point(np.zeros(400), pi_at_x, np.full(400, 0.5), np.arange(400) % 2, weights)
+    assert (rep.valid_l & rep.valid_m).all()
+    np.testing.assert_array_equal(rep.pi[0], [0.0, 1.0])
 
 
 def _synthetic_mu(x, z):
@@ -108,8 +140,9 @@ def test_plugin_aggregates_match_quadrature_oracle():
     a = (stream_rng(5, "treat").random(n) < _synthetic_eta(z)).astype(int)
     weights = bounds.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
 
-    mu_vals, _ = bounds.mu_phi_cells(_synthetic_mu(x, z), _synthetic_eta(z), a, weights, arm=1)
-    pi_vals, _ = bounds.pi_phi_cells(_synthetic_pi(x, z), weights)
+    m = _synthetic_mu(x, z)[None, :]
+    rep = bounds.aggregate_cells(np.array([x]), m, m, _synthetic_pi(x, z)[None, :], _synthetic_eta(z), a, weights)
+    mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
     for cell, (lo, hi) in enumerate([(-1.0, 0.0), (0.0, 1.0)]):
         mu_pop = bounds.population_aggregate_mu(_synthetic_mu, _synthetic_eta, lo, hi, x, arm=1)
         pi_pop = bounds.population_aggregate_pi(_synthetic_pi, lo, hi, x)
@@ -158,10 +191,8 @@ def test_pairwise_width_identity(pis, s1, width):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0, max_value=1), st.floats(-5, 5), st.floats(-5, 5))
 def test_k1_width_is_outcome_range(pi, mu1, mu0):
-    lower, upper, _, _ = bounds.discrete_instrument_bounds(
-        np.array([pi]), np.array([mu1]), np.array([mu0]), UNIT
-    )
-    assert upper - lower == pytest.approx(UNIT.width, abs=1e-9)
+    pair = bounds.discrete_bounds_on_grid(np.zeros(1), np.array([[pi]]), np.array([[mu1]]), np.array([[mu0]]), UNIT)
+    assert pair.width[0] == pytest.approx(UNIT.width, abs=1e-9)
 
 
 def test_tightest_bounds_brute_force_equivalence():
@@ -192,36 +223,51 @@ def test_single_dominating_pair_returned_with_indices():
     assert (lower, tuple(lower_pair)) == (2.0, (2, 0))
 
 
-def test_grid_reduction_matches_per_point_reduction():
-    rng = stream_rng(4, "grid")
-    nq, k = 23, 5
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.booleans(), min_size=k, max_size=k).filter(any),
+            st.lists(st.booleans(), min_size=k, max_size=k).filter(any),
+        )
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(masks=([True, True, False, True, True], [True, False, True, True, True]), seed=4)
+def test_grid_reduction_matches_per_point_reduction(masks, seed):
+    valid_l, valid_m = np.array(masks[0]), np.array(masks[1])
+    k, nq = len(valid_l), 23
+    rng = np.random.default_rng(seed)
     rep = bounds.RepresentationNuisance(
         x=np.linspace(-1, 1, nq),
         pi=rng.random((nq, k)),
         mu1=rng.normal(size=(nq, k)),
         mu0=rng.normal(size=(nq, k)),
-        valid_l=np.array([True, True, False, True, True]),
-        valid_m=np.array([True, False, True, True, True]),
+        valid_l=valid_l,
+        valid_m=valid_m,
     )
     pair = bounds.bounds_on_grid(rep, UNIT)
     for i in range(nq):
         b_plus, b_minus = bounds.pairwise_bound_matrix(rep.pi[i], rep.mu1[i], rep.mu0[i], UNIT)
-        lo, up, lo_pair, up_pair = bounds.tightest_bounds(b_plus, b_minus, rep.valid_l, rep.valid_m)
+        lo, up, _, _ = bounds.tightest_bounds(b_plus, b_minus, valid_l, valid_m)
         assert pair.lower[i] == lo
         assert pair.upper[i] == up
-        np.testing.assert_array_equal(pair.lower_pair[i], lo_pair)
-        np.testing.assert_array_equal(pair.upper_pair[i], up_pair)
+        # Rounding can tie two pairs, so check the chosen pair rather than compare pairs.
+        for (l, m), value, matrix in ((pair.upper_pair[i], up, b_plus), (pair.lower_pair[i], lo, b_minus)):
+            assert valid_l[l] and valid_m[m]
+            assert matrix[l, m] == value
 
 
 def test_duplicate_cell_leaves_bounds_unchanged():
     rng = stream_rng(5, "dup")
     nq, k = 11, 3
+    x = np.linspace(-1, 1, nq)
     pi = rng.random((nq, k))
     mu1 = rng.normal(size=(nq, k))
     mu0 = rng.normal(size=(nq, k))
-    base = bounds.discrete_bounds_on_grid(np.linspace(-1, 1, nq), pi, mu1, mu0, UNIT)
+    base = bounds.discrete_bounds_on_grid(x, pi, mu1, mu0, UNIT)
     dup = bounds.discrete_bounds_on_grid(
-        np.linspace(-1, 1, nq),
+        x,
         np.concatenate([pi, pi[:, :1]], axis=1),
         np.concatenate([mu1, mu1[:, :1]], axis=1),
         np.concatenate([mu0, mu0[:, :1]], axis=1),
@@ -229,6 +275,13 @@ def test_duplicate_cell_leaves_bounds_unchanged():
     )
     np.testing.assert_allclose(dup.lower, base.lower, atol=1e-12)
     np.testing.assert_allclose(dup.upper, base.upper, atol=1e-12)
+    # Relabeling the cells moves the selected pairs with them and nothing else.
+    perm = np.array([2, 0, 1])
+    permuted = bounds.discrete_bounds_on_grid(x, pi[:, perm], mu1[:, perm], mu0[:, perm], UNIT)
+    np.testing.assert_array_equal(permuted.lower, base.lower)
+    np.testing.assert_array_equal(permuted.upper, base.upper)
+    np.testing.assert_array_equal(perm[permuted.upper_pair], base.upper_pair)
+    np.testing.assert_array_equal(perm[permuted.lower_pair], base.lower_pair)
 
 
 def test_no_valid_pair_raises():

@@ -103,6 +103,23 @@ def test_oracle_rejects_other_datasets(tmp_path):
         ))
 
 
+def test_bounds_oracle_refuses_other_datasets(tmp_path, capsys):
+    d1 = tmp_path / "d1"
+    assert run_cli("generate", "--dataset", "1", "--n", "100", "--seed", "0", "--out", str(d1)) == 0
+    out = tmp_path / "bounds"
+    assert run_cli("bounds", "--data", str(d1), "--method", "oracle", "--out", str(out)) == 2
+    assert "dataset 3 only" in capsys.readouterr().err
+    assert not (out / "bounds.csv").exists()
+    (d1 / "manifest.json").unlink()
+    assert run_cli("bounds", "--data", str(d1), "--method", "oracle", "--out", str(out)) == 2
+    assert "no manifest.json" in capsys.readouterr().err
+    assert not (out / "bounds.csv").exists()
+    d3 = tmp_path / "d3"
+    assert run_cli("generate", "--dataset", "3", "--n", "50", "--seed", "0", "--out", str(d3)) == 0
+    assert run_cli("bounds", "--data", str(d3), "--method", "oracle", "--out", str(out)) == 0
+    assert len((out / "bounds.csv").read_text().splitlines()) == 20 + 1
+
+
 def test_naive_manifest_records_fair_architecture(tmp_path):
     out = tmp_path / "naive"
     assert run_cli("run", "--dataset", "1", "--method", "naive", "--k", "2", "--seed", "0",

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ivbounds import data, naive
-from ivbounds.data import OutcomeRange
 from ivbounds.nets import TrainConfig
 from ivbounds.rng import stream_rng
 
@@ -33,6 +32,17 @@ def test_kmeans_requires_enough_distinct_points():
     z = np.array([[1.0], [1.0], [1.0]])
     with pytest.raises(ValueError, match="distinct"):
         naive.kmeans_fit(z, 2, seed=0)
+
+
+def test_kmeans_one_dimensional_input_is_a_column():
+    z = np.array([-1.0, -1.0, 1.0, 1.0])
+    flat = naive.kmeans_fit(z, 2, seed=0)
+    col = naive.kmeans_fit(z[:, None], 2, seed=0)
+    np.testing.assert_array_equal(flat.centroids, col.centroids)
+    assert flat.inertia == col.inertia and flat.history == col.history
+    np.testing.assert_array_equal(flat.assign(z), col.assign(z[:, None]))
+    with pytest.raises(ValueError, match="shape"):
+        naive.kmeans_fit(z.reshape(2, 2, 1), 2, seed=0)
 
 
 def test_kmeans_inertia_monotone():

@@ -27,36 +27,44 @@ def test_train_config_validation():
 # ---------------------------------------------------------------- gumbel
 
 
+def _fixed_logit_net(logits):
+    """Partition net whose assignment logits are ``logits`` for every instrument."""
+    net = nets.PartitionNet.create(1, len(logits), stream_rng(0, "init"))
+    net.params["logits.w"][:] = 0.0
+    net.params["logits.b"][:] = logits
+    return net
+
+
 def test_gumbel_zero_temperature_limit():
-    rng = stream_rng(0, "gumbel")
     logits = np.array([0.4, 1.3, -0.2])
-    noise = nets.sample_gumbel(logits.shape, stream_rng(1, "noise"))
-    # Reproduce the same noise by reusing the generator seed.
-    soft = nets.gumbel_softmax_sample(logits, temperature=1e-6, hard=False, rng=stream_rng(1, "noise"))
-    expected = np.zeros(3)
-    expected[np.argmax(logits + noise)] = 1.0
-    np.testing.assert_array_equal(soft, expected)
-    del rng
+    noise = nets.sample_gumbel((1, 3), stream_rng(1, "noise"))
+    weights, _, _ = _fixed_logit_net(logits).assignment_graph(np.zeros(1), noise, temperature=1e-6, hard=False)
+    expected = np.zeros((1, 3))
+    expected[0, np.argmax(logits + noise[0])] = 1.0
+    np.testing.assert_array_equal(weights.value, expected)
 
 
 def test_gumbel_rows_sum_to_one():
-    rng = stream_rng(2, "gumbel")
-    out = nets.gumbel_softmax_sample(np.random.default_rng(0).normal(size=(40, 5)), 0.7, False, rng)
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(40), atol=1e-9)
-    assert np.all(out >= 0)
+    net = _fixed_logit_net(np.random.default_rng(0).normal(size=5))
+    noise = nets.sample_gumbel((40, 5), stream_rng(2, "gumbel"))
+    weights, _, _ = net.assignment_graph(np.zeros(40), noise, 0.7, hard=False)
+    np.testing.assert_allclose(weights.value.sum(axis=1), np.ones(40), atol=1e-9)
+    assert np.all(weights.value >= 0)
 
 
 def test_gumbel_hard_matches_softmax_distribution():
     # With logits (0, ln 3) the sampling distribution is softmax = (1/4, 3/4).
-    rng = stream_rng(3, "gumbel")
-    draws = nets.gumbel_softmax_sample(np.tile([0.0, np.log(3.0)], (100_000, 1)), 1.0, True, rng)
-    freq = draws[:, 1].mean()
+    n = 100_000
+    noise = nets.sample_gumbel((n, 2), stream_rng(3, "gumbel"))
+    weights, _, _ = _fixed_logit_net(np.array([0.0, np.log(3.0)])).assignment_graph(np.zeros(n), noise, 1.0, True)
+    assert set(np.unique(weights.value)) <= {0.0, 1.0}
+    freq = weights.value[:, 1].mean()
     assert abs(freq - 0.75) < 0.01
 
 
 def test_gumbel_rejects_bad_temperature():
     with pytest.raises(ValueError):
-        nets.gumbel_softmax_sample(np.zeros(3), 0.0, False, stream_rng(0, "g"))
+        _fixed_logit_net(np.zeros(3)).assignment_graph(np.zeros(1), None, 0.0, False)
 
 
 def test_assignment_graph_straight_through_equals_soft_gradient():
@@ -220,7 +228,7 @@ def test_training_aborts_on_nan_loss():
 
 
 def test_head_isolation():
-    net = nets.TwoHeadOutcomeNet.create(1, 1, stream_rng(0, "init"))
+    net = nets.TwoBranchNet.create(1, 1, stream_rng(0, "init"), nets.OUTCOME_SPEC)
     x = np.linspace(-1, 1, 16)
     z = np.linspace(-1, 1, 16)
     before = net.predict(x, z)
@@ -231,20 +239,46 @@ def test_head_isolation():
     assert not np.allclose(before[:, 0], after[:, 0])
 
 
+def test_two_branch_spec_sets_heads_kind_and_loss():
+    outcome = nets.TwoBranchNet.create(1, 1, stream_rng(0, "init"), nets.OUTCOME_SPEC)
+    propensity = nets.TwoBranchNet.create(1, 1, stream_rng(0, "init"), nets.PROPENSITY_SPEC)
+    assert (outcome.kind, propensity.kind) == ("two_head_outcome", "propensity")
+    assert {"head0.w", "head1.w"} <= set(outcome.params) and "head.w" not in outcome.params
+    assert "head.w" in propensity.params and "head0.w" not in propensity.params
+    # Same draw order up to the heads: the trunks of both nets are identical.
+    for name in outcome.params:
+        if not name.startswith("head"):
+            np.testing.assert_array_equal(outcome.params[name], propensity.params[name])
+    batch = {"x": np.linspace(-1, 1, 6), "z": np.linspace(-1, 1, 6), "a": np.array([0, 1] * 3), "y": np.ones(6)}
+    p = propensity.predict(batch["x"], batch["z"])
+    expected = np.mean(-batch["a"] * np.log(p) - (1 - batch["a"]) * np.log(1 - p))
+    assert float(propensity.loss_graph(batch)[0].value) == pytest.approx(expected, abs=1e-12)
+    m = outcome.predict(batch["x"], batch["z"])
+    expected = np.mean((m[np.arange(6), batch["a"]] - batch["y"]) ** 2)
+    assert float(outcome.loss_graph(batch)[0].value) == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(ValueError):
+        nets.TwoBranchNet.create(1, 1, stream_rng(0, "init"), nets.MlpSpec(heads=1))
+
+
 def test_pairwise_prediction_matches_pointwise():
-    net = nets.TwoHeadOutcomeNet.create(1, 1, stream_rng(1, "init"))
     xq = np.linspace(-1, 1, 5)
     z = np.linspace(-0.5, 0.5, 7)
+    net = nets.TwoBranchNet.create(1, 1, stream_rng(1, "init"), nets.OUTCOME_SPEC)
     m0, m1 = net.predict_pairwise(xq, z, chunk=2)
     for i, xi in enumerate(xq):
         point = net.predict(np.full(7, xi), z)
         np.testing.assert_allclose(m0[i], point[:, 0], atol=1e-12)
         np.testing.assert_allclose(m1[i], point[:, 1], atol=1e-12)
+    net = nets.TwoBranchNet.create(1, 1, stream_rng(1, "init"), nets.PROPENSITY_SPEC)
+    p = net.predict_pairwise(xq, z, chunk=2)
+    for i, xi in enumerate(xq):
+        np.testing.assert_allclose(p[i], net.predict(np.full(7, xi), z), atol=1e-12)
 
 
 def test_propensity_outputs_in_open_unit_interval():
-    net = nets.PropensityNet.create(1, 1, stream_rng(2, "init"))
+    net = nets.TwoBranchNet.create(1, 1, stream_rng(2, "init"), nets.PROPENSITY_SPEC)
     p = net.predict(np.linspace(-1, 1, 50), np.linspace(-1, 1, 50))
+    assert p.shape == (50,)
     assert np.all(p > 0) and np.all(p < 1)
 
 
@@ -255,14 +289,19 @@ def test_partition_hard_assignment_is_argmax_of_logits():
 
 
 def test_graph_forward_matches_numpy_forward():
-    net = nets.PropensityNet.create(1, 1, stream_rng(4, "init"))
-    batch = {"x": np.linspace(-1, 1, 9), "z": np.linspace(-1, 1, 9), "a": np.zeros(9)}
+    net = nets.TwoBranchNet.create(1, 1, stream_rng(4, "init"), nets.OUTCOME_SPEC)
+    x, z = np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)
     pnodes = net.param_nodes()
-    hx = nets._stack(ad.input_node(nets._as_col(batch["x"])), pnodes, "x_enc.", net.spec.x_depth)
-    hz = nets._stack(ad.input_node(nets._as_col(batch["z"])), pnodes, "z_enc.", net.spec.z_depth)
+    hx = nets._stack(ad.input_node(nets._as_col(x)), pnodes, "x_enc.", net.spec.x_depth)
+    hz = nets._stack(ad.input_node(nets._as_col(z)), pnodes, "z_enc.", net.spec.z_depth)
     h = nets._stack(ad.concat([hx, hz], axis=1), pnodes, "shared.", net.spec.shared_depth)
-    logit = nets._dense(h, pnodes, "head")
-    np.testing.assert_array_equal(logit.value, net._logits_np(batch["x"], batch["z"]))
+    graph = np.concatenate([nets._dense(h, pnodes, name).value for name in ("head0", "head1")], axis=1)
+    np.testing.assert_array_equal(graph, net.predict(x, z))
+    partition_net = nets.PartitionNet.create(1, 3, stream_rng(4, "init"))
+    logits, aux = partition_net.forward_graph(partition_net.param_nodes(), z)
+    np_logits, np_aux = partition_net.forward(z)
+    np.testing.assert_array_equal(logits.value, np_logits)
+    np.testing.assert_array_equal(aux.value, np_aux)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -271,8 +310,8 @@ def test_graph_forward_matches_numpy_forward():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda rng: nets.TwoHeadOutcomeNet.create(1, 1, rng),
-        lambda rng: nets.PropensityNet.create(1, 20, rng),
+        lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.OUTCOME_SPEC),
+        lambda rng: nets.TwoBranchNet.create(1, 20, rng, nets.PROPENSITY_SPEC),
         lambda rng: nets.EtaNet.create(20, rng),
         lambda rng: nets.PartitionNet.create(1, 3, rng),
     ],
@@ -283,6 +322,8 @@ def test_checkpoint_round_trip(tmp_path, factory):
     nets.save_checkpoint(net, path)
     loaded = nets.load_checkpoint(path)
     assert type(loaded) is type(net)
+    assert loaded.kind == net.kind
+    assert loaded.meta() == net.meta()
     assert set(loaded.params) == set(net.params)
     for name in net.params:
         np.testing.assert_array_equal(loaded.params[name], net.params[name])

@@ -21,19 +21,44 @@ def small_setup():
 # ------------------------------------------------------------ loss terms
 
 
+def _flat_constants(n):
+    """Batch constants with flat nuisances, for the mass and aux terms."""
+    return partition.BatchConstants(
+        m1=np.zeros((n, n)), m0=np.zeros((n, n)), p=np.full((n, n), 0.5), eta=np.full(n, 0.5),
+        a=(np.arange(n) % 2).astype(np.float64), z=np.zeros((n, 1)), x=np.zeros(n),
+    )
+
+
+def _l_reg(weights):
+    breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), _flat_constants(len(weights)), UNIT,
+                                              1.0, 0.0)
+    return breakdown.l_reg
+
+
+def _soft_weights(net, z):
+    """Noise-free soft cell weights of the partition net."""
+    weights, _, _ = net.assignment_graph(z, None, 1.0, hard=False)
+    return weights.value
+
+
+def _l_b(net, const, rng_range):
+    weights = _soft_weights(net, const.z)
+    breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), const, rng_range, 0.0, 0.0)
+    return breakdown.l_b
+
+
 def test_loss_reg_uniform_masses():
     pa = bounds.PartitionAssignment.from_labels(np.array([0, 1] * 10), 2)
-    assert partition.loss_reg(pa) == pytest.approx(2 * np.log(2), abs=1e-12)
+    assert _l_reg(pa.weights) == pytest.approx(2 * np.log(2), abs=1e-12)
     pa3 = bounds.PartitionAssignment.from_labels(np.array([0, 1, 2] * 10), 3)
-    assert partition.loss_reg(pa3) == pytest.approx(3 * np.log(3), abs=1e-12)
+    assert _l_reg(pa3.weights) == pytest.approx(3 * np.log(3), abs=1e-12)
 
 
 def test_loss_reg_penalizes_imbalance():
     w = np.zeros((100, 2))
     w[:99, 0] = 1.0
     w[99:, 1] = 1.0
-    pa = bounds.PartitionAssignment(w, "hard")
-    val = partition.loss_reg(pa)
+    val = _l_reg(w)
     assert val == pytest.approx(-np.log(0.99) - np.log(0.01), abs=1e-9)
     assert val > 2 * np.log(2)
 
@@ -51,7 +76,7 @@ def test_loss_reg_minimum_over_simplex():
 def test_loss_reg_clamps_empty_cell(caplog):
     pa = bounds.PartitionAssignment.from_labels(np.zeros(10, dtype=int), 2)
     with caplog.at_level("WARNING"):
-        val = partition.loss_reg(pa)
+        val = _l_reg(pa.weights)
     assert val == pytest.approx(-np.log(1.0) - np.log(1e-8))
     assert any("clamped" in rec.message for rec in caplog.records)
 
@@ -59,20 +84,27 @@ def test_loss_reg_clamps_empty_cell(caplog):
 def test_loss_aux_perfect_head_and_uniform_head():
     net = PartitionNet.create(1, 2, stream_rng(1, "init"))
     z = np.linspace(-1, 1, 50)
+
+    def l_aux():
+        _, aux = net.forward(z)
+        weights = partition.hard_assignment(net, z).weights
+        breakdown, _ = partition.composite_losses(weights, aux, _flat_constants(len(z)), UNIT, 0.0, 1.0)
+        return breakdown.l_aux
+
     # Rig the aux head to copy the assignment logits scaled up: near-zero CE.
     net.params["aux.w"][:] = net.params["logits.w"] * 200.0
     net.params["aux.b"][:] = net.params["logits.b"] * 200.0
-    assert partition.loss_aux(z, net) < 1e-3
+    assert l_aux() < 1e-3
     # Uniform head: CE equals log k.
     net.params["aux.w"][:] = 0.0
     net.params["aux.b"][:] = 0.0
-    assert partition.loss_aux(z, net) == pytest.approx(np.log(2), abs=1e-12)
+    assert l_aux() == pytest.approx(np.log(2), abs=1e-12)
 
 
 def test_loss_bound_k1_equals_outcome_range(small_setup):
     split, nuis, _ = small_setup
     net = PartitionNet.create(1, 1, stream_rng(2, "init"))
-    val = partition.loss_bound(split.val, nuis, net, UNIT)
+    val = _l_b(net, partition.batch_constants(nuis, split.val), UNIT)
     assert val == pytest.approx(UNIT.width, abs=1e-12)
 
 
@@ -81,14 +113,13 @@ def test_loss_bound_equals_mean_of_bound_engine_widths(small_setup):
     net = PartitionNet.create(1, 3, stream_rng(3, "init"))
     batch = split.val
     const = partition.batch_constants(nuis, batch)
-    weights = partition._soft_weights(net, batch.z, 1.0, None)
-    breakdown, _ = partition.composite_losses(weights, None, const, UNIT, 0.0, 0.0)
+    weights = _soft_weights(net, batch.z)
+    breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), const, UNIT, 0.0, 0.0)
     # Per-sample widths through the bound-engine path with the same weights.
     assignment = bounds.PartitionAssignment(weights, "soft")
     rep = bounds.representation_from_estimates(nuis, assignment, batch.z, batch.a, batch.x)
     pair = bounds.bounds_on_grid(rep, UNIT)
     assert breakdown.l_b == pytest.approx(float(np.mean(pair.width)), abs=1e-12)
-    assert partition.loss_bound(batch, nuis, net, UNIT) == pytest.approx(breakdown.l_b, abs=1e-12)
 
 
 def test_graph_loss_matches_numpy_loss(small_setup):
@@ -187,16 +218,17 @@ def test_relabeling_invariance(small_setup):
     net, _, _ = partition.train_partition(split, nuis, config)
     batch = split.test
     rng_range = data.outcome_range_from_train(split.train)
-    base_b = partition.loss_bound(batch, nuis, net, rng_range)
-    base_reg = partition.loss_reg(partition.hard_assignment(net, batch.z))
+    const = partition.batch_constants(nuis, batch)
+    base_b = _l_b(net, const, rng_range)
+    base_reg = _l_reg(partition.hard_assignment(net, batch.z).weights)
     perm = np.array([1, 0])
     permuted = PartitionNet.from_meta(net.meta(), net.copy_params())
     permuted.params["logits.w"] = net.params["logits.w"][:, perm].copy()
     permuted.params["logits.b"] = net.params["logits.b"][perm].copy()
     permuted.params["aux.w"] = net.params["aux.w"][:, perm].copy()
     permuted.params["aux.b"] = net.params["aux.b"][perm].copy()
-    assert partition.loss_bound(batch, nuis, permuted, rng_range) == pytest.approx(base_b, abs=1e-12)
-    assert partition.loss_reg(partition.hard_assignment(permuted, batch.z)) == pytest.approx(base_reg, abs=1e-12)
+    assert _l_b(permuted, const, rng_range) == pytest.approx(base_b, abs=1e-12)
+    assert _l_reg(partition.hard_assignment(permuted, batch.z).weights) == pytest.approx(base_reg, abs=1e-12)
 
 
 def test_empty_cell_arm_is_dropped_not_fatal(small_setup):
@@ -210,15 +242,6 @@ def test_empty_cell_arm_is_dropped_not_fatal(small_setup):
     assert np.isfinite(float(root.value))
     assert parts["l_b"] is not None  # cell 0 still valid on both sides
     assert not info["valid_l"][1] and not info["valid_m"][1]
-
-
-def test_tune_gamma_returns_valid_draw(small_setup):
-    split, nuis, _ = small_setup
-    config = TrainConfig(seed=3, max_epochs=2, batch_size=120, k=2)
-    gamma, trials = partition.tune_gamma(split, nuis, config, n_draws=2)
-    assert 0.0 <= gamma <= 1.0
-    assert len(trials) == 2
-    assert gamma == min(trials, key=lambda t: t["score"])["gamma"]
 
 
 def test_train_log_csv_round_trip(tmp_path, small_setup):
