@@ -33,6 +33,11 @@ class CheckResult:
 
 GRADIENT_CASES = {
     "matmul": lambda x: ad.reduce_sum(ad.matmul(x, ad.constant(np.arange(6.0).reshape(3, 2)))),
+    "dense": lambda x: ad.reduce_sum(ad.dense(
+        ad.dense(x, ad.constant(np.linspace(-1.0, 1.5, 12).reshape(3, 4)), ad.constant([0.3, -0.2, 0.1, 0.5]),
+                 relu=True),
+        ad.constant(np.linspace(2.0, -1.0, 8).reshape(4, 2)), ad.constant([0.25, -0.5]),
+    )),
     "add": lambda x: ad.reduce_sum(ad.add(ad.add(x, ad.constant(np.ones((2, 3)))), 0.5)),
     "sub": lambda x: ad.reduce_sum(ad.sub(ad.sub(x, ad.constant(np.ones((2, 3)))), 0.25)),
     "mul": lambda x: ad.reduce_sum(ad.mul(ad.mul(x, ad.constant(np.full((2, 3), 1.5))), 2.0)),

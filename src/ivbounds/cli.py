@@ -131,6 +131,12 @@ def cmd_bounds(args) -> int:
             found = "no manifest.json" if dataset is None else f"dataset {dataset}"
             print(f"oracle bounds are defined for dataset 3 only; {args.data} has {found}", file=sys.stderr)
             return EXIT_IO
+    else:
+        missing = [flag for flag, value in (("--nuisance", args.nuisance), ("--partition", args.partition))
+                   if value is None]
+        if missing:
+            print(f"--method {args.method} needs {' and '.join(missing)}", file=sys.stderr)
+            return EXIT_IO
     split = _split_dir(Path(args.data))
     rng_range = data.outcome_range_from_train(split.train)
     out = Path(args.out)

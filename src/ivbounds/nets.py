@@ -8,9 +8,12 @@ per treatment arm) or the propensity net (one sigmoid head). The partition
 net maps instruments to k cells through a Gumbel-softmax layer and carries
 an auxiliary linear classification head on its last hidden layer.
 
-Training builds autodiff graphs (``_stack``/``_dense``); prediction runs the
-same layers in plain numpy (``_stack_np``/``_dense_np``), which is markedly
-faster for the large pairwise evaluations.
+Training builds autodiff graphs (``_stack``/``_dense``) with one fused
+``ad.dense`` node per layer; prediction runs the same layers in plain numpy
+(``_stack_np``/``_dense_np``), which is markedly faster for the large
+pairwise evaluations. ``AdamState`` keeps each moment in one flat buffer,
+with a per-parameter view into it under the parameter's name, so an Adam
+step is a handful of whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -102,13 +105,13 @@ def _init_stack(rng, params, prefix, in_dim, depth, hidden) -> int:
     return d
 
 
-def _dense(h: ad.Node, pnodes: dict[str, ad.Node], prefix: str) -> ad.Node:
-    return ad.add(ad.matmul(h, pnodes[f"{prefix}.w"]), pnodes[f"{prefix}.b"])
+def _dense(h: ad.Node, pnodes: dict[str, ad.Node], prefix: str, relu: bool = False) -> ad.Node:
+    return ad.dense(h, pnodes[f"{prefix}.w"], pnodes[f"{prefix}.b"], relu=relu)
 
 
 def _stack(h: ad.Node, pnodes, prefix: str, depth: int) -> ad.Node:
     for i in range(depth):
-        h = ad.relu(_dense(h, pnodes, f"{prefix}{i}"))
+        h = _dense(h, pnodes, f"{prefix}{i}", relu=True)
     return h
 
 
@@ -354,16 +357,30 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Adam moments of one parameter dict.
+
+    ``m_flat``/``v_flat`` hold every parameter's moment back to back, in the
+    dict's order; ``m``/``v`` map each name to its view into them.
+    """
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in params.items()},
-            v={name: np.zeros_like(arr) for name, arr in params.items()},
-        )
+        total = sum(arr.size for arr in params.values())
+        m_flat, v_flat = np.zeros(total), np.zeros(total)
+        m, v = {}, {}
+        lo = 0
+        for name, arr in params.items():
+            hi = lo + arr.size
+            m[name] = m_flat[lo:hi].reshape(arr.shape)
+            v[name] = v_flat[lo:hi].reshape(arr.shape)
+            lo = hi
+        return cls(m_flat, v_flat, m, v)
 
 
 def adam_step(
@@ -375,21 +392,40 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update, in place. Missing grads are treated as zero."""
-    state.t += 1
-    for name, p in params.items():
+    """One Adam update, in place. Missing grads are treated as zero.
+
+    Every gradient is checked before anything changes, so a refused step
+    leaves the parameters and the state as they were.
+    """
+    if params.keys() != state.m.keys():
+        raise ValueError("parameter names differ from the Adam state's")
+    parts = []
+    for name, m in state.m.items():
+        p = params[name]
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
-        if g.shape != p.shape or state.m[name].shape != p.shape:
+        if g.shape != p.shape or m.shape != p.shape:
             raise ValueError(f"shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**state.t)
-        v_hat = state.v[name] / (1.0 - beta2**state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        parts.append(g.ravel())
+    g = np.concatenate(parts)
+    if not np.isfinite(g).all():
+        bad = next(name for name, part in zip(state.m, parts) if not np.isfinite(part).all())
+        raise FloatingPointError(f"non-finite gradient for {bad}")
+    state.t += 1
+    m, v = state.m_flat, state.v_flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**state.t)
+    v_hat = v / (1.0 - beta2**state.t)
+    step = lr * m_hat / (np.sqrt(v_hat) + eps)
+    lo = 0
+    for name in state.m:
+        p = params[name]
+        p -= step[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
 
 
 class TrainingAbort(RuntimeError):

@@ -213,3 +213,73 @@ def test_zero_gradient_for_unused_trainable_input():
     grads = ad.backward_grad(root)
     assert "y" not in grads  # y is not part of the graph at all
     np.testing.assert_array_equal(grads["x"], np.ones(2))
+
+
+@st.composite
+def _dense_operands(draw):
+    """(h, w, b) with small shapes; values are multiples of 1/4 so some
+    pre-activations are exact zeros."""
+    n, i, o = (draw(st.integers(1, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(rng.integers(-4, 5, size=shape) / 4.0 for shape in ((n, i), (i, o), (o,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_operands(), st.booleans())
+def test_dense_is_bitwise_the_unfused_layer(operands, relu):
+    def run(layer):
+        h, w, b = (ad.input_node(v, name=name, trainable=True) for name, v in zip("hwb", operands))
+        out = layer(h, w, b)
+        coeff = np.linspace(-1.0, 2.0, out.value.size).reshape(out.value.shape)
+        return out.value, ad.backward_grad(ad.reduce_sum(ad.mul(out, ad.constant(coeff))))
+
+    def unfused(h, w, b):
+        z = ad.add(ad.matmul(h, w), b)
+        return ad.relu(z) if relu else z
+
+    fused_value, fused_grads = run(lambda h, w, b: ad.dense(h, w, b, relu=relu))
+    value, grads = run(unfused)
+    assert np.array_equal(fused_value, value)
+    for name in "hwb":
+        assert np.array_equal(fused_grads[name], grads[name])
+
+
+def test_dense_shape_mismatch_is_structured():
+    h, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4)))
+    for bad in (
+        (h, w, ad.constant(np.ones(3))),  # bias width != output width
+        (h, w, ad.constant(np.ones((1, 4)))),  # bias must be 1-D
+        (h, ad.constant(np.ones((2, 4))), ad.constant(np.ones(4))),  # inner dimensions differ
+        (ad.constant(np.ones(3)), w, ad.constant(np.ones(4))),  # h must be 2-D
+    ):
+        with pytest.raises(ad.ShapeMismatchError) as exc:
+            ad.dense(*bad)
+        assert exc.value.op == "dense"
+        assert exc.value.shapes == tuple(n.value.shape for n in bad)
+
+
+def test_nonfinite_gradient_names_first_node_in_reverse_order():
+    # d/dy log(y) = 1/y overflows at a subnormal y; sum and log keep finite
+    # gradients, so y is the first node in reverse order that is not finite.
+    y = ad.input_node(np.array([1e-320]), name="y", trainable=True)
+    w = ad.input_node(np.array([2.0]), name="w", trainable=True)
+    root = ad.reduce_sum(ad.mul(ad.log(y), w))
+    with pytest.raises(ad.NonFiniteError) as exc:
+        ad.backward_grad(root)
+    order = ad.topo_order(root)
+    first = next(n for n in reversed(order) if n.grad is not None and not np.all(np.isfinite(n.grad)))
+    assert first is y
+    assert exc.value.node_id == y.id
+    assert exc.value.op == "input"
+
+
+def test_nonfinite_gradient_reaching_no_trainable_input_is_not_reported():
+    # Gradients are checked once, on those backward_grad returns. Here the
+    # gradient of log at a subnormal constant y overflows, but the trainable
+    # x reaches that product only through detach, so its gradient is finite.
+    y = ad.constant(np.array([1e-320]))
+    x = ad.input_node(np.array([3.0]), name="x", trainable=True)
+    root = ad.reduce_sum(ad.add(ad.mul(ad.log(y), ad.detach(x)), x))
+    grads = ad.backward_grad(root)
+    assert not np.all(np.isfinite(y.grad))
+    np.testing.assert_array_equal(grads["x"], [1.0])

@@ -120,6 +120,21 @@ def test_bounds_oracle_refuses_other_datasets(tmp_path, capsys):
     assert len((out / "bounds.csv").read_text().splitlines()) == 20 + 1
 
 
+def test_bounds_ours_refuses_missing_inputs(tmp_path, capsys):
+    d1 = tmp_path / "d1"
+    assert run_cli("generate", "--dataset", "1", "--n", "50", "--seed", "0", "--out", str(d1)) == 0
+    out = tmp_path / "bounds"
+    assert run_cli("bounds", "--data", str(d1), "--out", str(out)) == 2
+    assert "--nuisance and --partition" in capsys.readouterr().err
+    assert run_cli("bounds", "--data", str(d1), "--nuisance", str(tmp_path / "nuis"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--partition" in err and "--nuisance" not in err
+    assert run_cli("bounds", "--data", str(d1), "--partition", str(tmp_path / "p.ckpt"), "--out", str(out)) == 2
+    assert "needs --nuisance\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (out / "bounds.csv").exists()
+
+
 def test_naive_manifest_records_fair_architecture(tmp_path):
     out = tmp_path / "naive"
     assert run_cli("run", "--dataset", "1", "--method", "naive", "--k", "2", "--seed", "0",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds import autodiff as ad
 from ivbounds import nets
@@ -126,6 +128,75 @@ def test_adam_rejects_shape_mismatch():
     state = nets.AdamState.for_params(params)
     with pytest.raises(ValueError):
         nets.adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+
+
+def _adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one array at a time: the reference the flat update matches bit for bit."""
+    for name, p in params.items():
+        g = grads.get(name, np.zeros_like(p))
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        m_hat = m[name] / (1.0 - beta1**t)
+        v_hat = v[name] / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 0.5),
+)
+def test_flat_adam_is_bitwise_the_per_array_update(shapes, seed, lr):
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    ref_params = {name: p.copy() for name, p in params.items()}
+    state = nets.AdamState.for_params(params)
+    ref_m = {name: np.zeros_like(p) for name, p in params.items()}
+    ref_v = {name: np.zeros_like(p) for name, p in params.items()}
+    for t in range(1, 51):
+        grads = {name: rng.normal(size=p.shape) * rng.choice([0.0, 1e-3, 1.0, 10.0])
+                 for name, p in params.items() if rng.random() < 0.8}
+        nets.adam_step(params, grads, state, lr)
+        _adam_reference(ref_params, grads, ref_m, ref_v, t, lr)
+        assert state.t == t
+        for name in params:
+            assert np.array_equal(params[name], ref_params[name])
+            assert np.array_equal(state.m[name], ref_m[name])
+            assert np.array_equal(state.v[name], ref_v[name])
+    for name in params:
+        assert np.shares_memory(state.m[name], state.m_flat)
+        assert np.shares_memory(state.v[name], state.v_flat)
+
+
+def test_adam_refusal_names_the_parameter_and_changes_nothing():
+    params = {"w": np.array([1.0, 2.0]), "b": np.array([0.5])}
+    state = nets.AdamState.for_params(params)
+    nets.adam_step(params, {"w": np.array([0.1, 0.2]), "b": np.array([0.3])}, state, lr=0.1)
+    before = {name: p.copy() for name, p in params.items()}
+    m_before, v_before = state.m_flat.copy(), state.v_flat.copy()
+    with pytest.raises(FloatingPointError, match="for b"):
+        nets.adam_step(params, {"w": np.array([0.1, 0.2]), "b": np.array([np.inf])}, state, lr=0.1)
+    for name in params:
+        np.testing.assert_array_equal(params[name], before[name])
+    np.testing.assert_array_equal(state.m_flat, m_before)
+    np.testing.assert_array_equal(state.v_flat, v_before)
+    assert state.t == 1
+
+
+@pytest.mark.parametrize("make, nodes", [
+    (lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.OUTCOME_SPEC), 39),
+    (lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.PROPENSITY_SPEC), 32),
+    (lambda rng: nets.EtaNet.create(1, rng), 18),
+])
+def test_stage1_loss_graph_node_count(make, nodes):
+    # One fused dense node per layer; unfusing the layers would show here.
+    rng = stream_rng(0, "node-count")
+    n = nets.TrainConfig().batch_size
+    batch = {"x": rng.normal(size=n), "z": rng.normal(size=n), "a": (rng.random(n) < 0.5) * 1.0,
+             "y": rng.normal(size=n)}
+    root, _ = make(stream_rng(1, "init")).loss_graph(batch)
+    assert len(ad.topo_order(root)) == nodes
 
 
 # ---------------------------------------------------------------- training loop
