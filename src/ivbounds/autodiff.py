@@ -24,6 +24,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .parallel import PicklableFields
+
 Tensor = np.ndarray
 
 _NODE_IDS = itertools.count()
@@ -66,7 +68,7 @@ OP_KINDS = frozenset(
 FD_CHECKABLE_OP_KINDS = OP_KINDS - {"input", "detach", "straight_through"}
 
 
-class ShapeMismatchError(ValueError):
+class ShapeMismatchError(PicklableFields, ValueError):
     """Raised when operand shapes are incompatible for an op."""
 
     def __init__(self, op: str, *shapes: tuple[int, ...]):
@@ -75,7 +77,7 @@ class ShapeMismatchError(ValueError):
         super().__init__(f"op '{op}': incompatible shapes {list(shapes)}")
 
 
-class NonFiniteError(ArithmeticError):
+class NonFiniteError(PicklableFields, ArithmeticError):
     """Raised when a forward value or gradient contains NaN/inf."""
 
     def __init__(self, node: "Node", what: str):

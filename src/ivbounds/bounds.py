@@ -26,9 +26,10 @@ import numpy as np
 
 from . import data as dgp
 from .data import OutcomeRange
+from .parallel import PicklableFields
 
 
-class EmptyCellError(ValueError):
+class EmptyCellError(PicklableFields, ValueError):
     """A requested cell (or cell-arm combination) has no mass."""
 
     def __init__(self, cell: int, arm: int | None = None):

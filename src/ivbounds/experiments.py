@@ -2,7 +2,17 @@
 
 A run is fully determined by (dataset, method, k, seed, n, training
 config); every artifact directory carries a manifest with the config hash
-and package version.
+and package version. Its byte-reproducible artifacts (``bounds.csv``,
+checkpoints, ``train_log.csv``, ``metrics.json``, ``metrics.txt``) hold no
+wall time; the runtime goes to ``metrics.trace.json`` only.
+
+Processes: ``run_experiment`` runs in the calling process and spreads the
+independent restarts of each fit over the usable CPUs (see ``parallel``).
+``run_sweep(jobs > 1)`` spreads whole runs over ``min(jobs, len(runs))``
+processes through the same ``parallel.map_tasks``; pools never nest, so the
+restarts inside each of those runs train serially. Every run draws only
+from its own seeded streams, so the artifacts are the same bytes for every
+``jobs`` value and CPU count.
 """
 
 from __future__ import annotations
@@ -12,13 +22,12 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, data, metrics, naive, nuisance, partition
+from . import __version__, bounds, data, metrics, naive, nuisance, parallel, partition
 from .nets import TrainConfig, save_checkpoint
 
 MASS_FLOOR = 0.01
@@ -124,7 +133,7 @@ def run_experiment(dataset: int, method: str, k: int, seed: int, n: int = 2000,
     if out is not None:
         pair.to_csv(out / "bounds.csv")
         report.to_json(out / "metrics.json")
-        (out / "metrics.txt").write_text(report.render_text())
+        (out / "metrics.txt").write_text(replace(report, runtime_seconds=None).render_text())
         write_manifest(out, "run", {
             "dataset": dataset, "method": method, "k": k, "seed": seed, "n": n,
             "train": asdict(config),
@@ -132,16 +141,10 @@ def run_experiment(dataset: int, method: str, k: int, seed: int, n: int = 2000,
     return report
 
 
-def _run_star(args) -> metrics.MetricsReport:
-    return run_experiment(*args)
-
-
 def run_sweep(runs: list[tuple], jobs: int = 1) -> list[metrics.MetricsReport]:
-    """Execute (dataset, method, k, seed, n, out_dir, overrides) tuples."""
-    if jobs <= 1 or len(runs) <= 1:
-        return [_run_star(run) for run in runs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_star, runs))
+    """Execute (dataset, method, k, seed, n, out_dir, overrides) tuples over
+    at most ``jobs`` processes; reports come back in run order."""
+    return parallel.map_tasks(run_experiment, runs, jobs=jobs)
 
 
 @dataclass

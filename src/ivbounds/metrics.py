@@ -82,8 +82,9 @@ class MetricsReport:
             ("crossing rate", f"{self.crossing_rate:.4f}"),
             ("min cell mass", _fmt(self.min_cell_mass, ".4f")),
             ("mass floor violated", self.mass_floor_violated),
-            ("runtime [s]", _fmt(self.runtime_seconds, ".1f")),
         ]
+        if self.runtime_seconds is not None:
+            rows.append(("runtime [s]", f"{self.runtime_seconds:.1f}"))
         if self.msd_k is not None:
             rows.append(("MSD(k)", f"{self.msd_k:.4f}"))
         if self.oracle_mse is not None:

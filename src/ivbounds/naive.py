@@ -4,6 +4,12 @@ The baseline discretizes the instrument space by clustering alone (no
 outcome signal), refits the nuisance nets on one-hot cluster labels with
 the same architectures as the main method, and applies the
 discrete-instrument bounds over the k labels.
+
+``fit_naive`` clusters in the calling process, then fits the outcome and
+propensity nets in parallel through ``parallel.map_tasks`` (serially inside
+a pool worker, such as a sweep's). Each fit draws only from its own named
+streams (``naive-{net}-init``/``naive-{net}-batches``), so the nets are the
+same bytes whichever process trains them.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bnd
+from . import parallel
 from .data import DatasetSplit, OutcomeRange, SampleBatch
 from .nets import OUTCOME_SPEC, PROPENSITY_SPEC, TrainConfig, TwoBranchNet, train_with_early_stopping
 from .rng import stream_rng
@@ -111,6 +118,13 @@ class NaiveFit:
     pi: TwoBranchNet
 
 
+def _fit_net(spec, k: int, name: str, train: dict, val: dict, config: TrainConfig) -> TwoBranchNet:
+    net = TwoBranchNet.create(1, k, stream_rng(config.seed, f"naive-{name}-init"), spec)
+    train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, val, config,
+                              rng=stream_rng(config.seed, f"naive-{name}-batches"))
+    return net
+
+
 def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
     """Cluster train instruments; refit outcome/propensity on one-hot labels."""
     km = kmeans_fit(split.train.z, k, config.seed)
@@ -127,12 +141,8 @@ def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
         }
 
     train, val = arrays(split.train), arrays(split.val)
-    mu = TwoBranchNet.create(1, k, stream_rng(config.seed, "naive-mu-init"), OUTCOME_SPEC)
-    train_with_early_stopping(mu, lambda m, b: m.loss_graph(b), train, val, config,
-                              rng=stream_rng(config.seed, "naive-mu-batches"))
-    pi = TwoBranchNet.create(1, k, stream_rng(config.seed, "naive-pi-init"), PROPENSITY_SPEC)
-    train_with_early_stopping(pi, lambda m, b: m.loss_graph(b), train, val, config,
-                              rng=stream_rng(config.seed, "naive-pi-batches"))
+    mu, pi = parallel.map_tasks(_fit_net, [(OUTCOME_SPEC, k, "mu", train, val, config),
+                                           (PROPENSITY_SPEC, k, "pi", train, val, config)])
     return NaiveFit(kmeans=km, mu=mu, pi=pi)
 
 

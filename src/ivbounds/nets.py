@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .parallel import PicklableFields
 from .rng import stream_rng
 
 HIDDEN_WIDTH = 10
@@ -428,7 +429,7 @@ def adam_step(
         lo += p.size
 
 
-class TrainingAbort(RuntimeError):
+class TrainingAbort(PicklableFields, RuntimeError):
     def __init__(self, epoch: int, batch: int, message: str):
         self.epoch = epoch
         self.batch = batch

@@ -2,7 +2,18 @@
 
 The three fits share the train/val split and the architecture family
 (width-10 relu MLPs). After fitting, the set is frozen: parameter arrays
-are made read-only so any later write attempt fails loudly.
+are made read-only so any later write attempt fails loudly, also in a copy
+unpickled in another process.
+
+Each net is the best of ``config.restarts`` independent fits. The restarts
+of one net run in parallel through ``parallel.map_tasks``: the caller and
+forked workers each train whole restarts, and the caller picks the winner.
+Restart ``r`` draws only from the streams ``"{net}-init-{r}"`` and
+``"{net}-batches-{r}"``, and the winner is the first restart with the
+smallest validation loss, so the result is the same in every process and
+for every worker count. Inside a pool worker (a sweep) the restarts run
+serially. ``fit_mu``, ``fit_pi`` and ``fit_eta`` stay separate calls, one
+parallel map each.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .data import DatasetSplit, SampleBatch
 from .nets import (OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TrainLog, TwoBranchNet,
                    train_with_early_stopping)
@@ -39,6 +51,12 @@ class NuisanceSet:
         self.frozen = True
         return self
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writeable again; re-apply the latch.
+        self.__dict__.update(state)
+        if self.frozen:
+            self.freeze()
+
     def fingerprint(self) -> str:
         """SHA-256 over all parameter bytes; used to assert bitwise freshness."""
         h = hashlib.sha256()
@@ -49,26 +67,26 @@ class NuisanceSet:
         return h.hexdigest()
 
 
+def _fit_restart(create, split: DatasetSplit, config: TrainConfig, name: str, r: int) -> tuple:
+    net = create(stream_rng(config.seed, f"{name}-init-{r}"))
+    log = train_with_early_stopping(
+        net,
+        lambda m, b: m.loss_graph(b),
+        _arrays(split.train),
+        _arrays(split.val),
+        config,
+        rng=stream_rng(config.seed, f"{name}-batches-{r}"),
+    )
+    return net, log
+
+
 def _fit_best(create, split: DatasetSplit, config: TrainConfig, name: str) -> tuple:
     """Best of ``config.restarts`` independently initialized fits by
     minimum validation loss; the spread across inits is large enough at
     n = 2000 that a single fit occasionally misses structure the bound
     estimators depend on."""
-    best = None
-    for r in range(config.restarts):
-        net = create(stream_rng(config.seed, f"{name}-init-{r}"))
-        log = train_with_early_stopping(
-            net,
-            lambda m, b: m.loss_graph(b),
-            _arrays(split.train),
-            _arrays(split.val),
-            config,
-            rng=stream_rng(config.seed, f"{name}-batches-{r}"),
-        )
-        score = min(log.val_loss)
-        if best is None or score < best[0]:
-            best = (score, net, log)
-    return best[1], best[2]
+    fits = parallel.map_tasks(_fit_restart, [(create, split, config, name, r) for r in range(config.restarts)])
+    return min(fits, key=lambda fit: min(fit[1].val_loss))
 
 
 def fit_mu(split: DatasetSplit, config: TrainConfig) -> tuple[TwoBranchNet, TrainLog]:

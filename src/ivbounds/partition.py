@@ -16,6 +16,18 @@ noise-free argmax assignments.
 the one numpy kernel, ``bounds.aggregate_cells``, and reduce with
 ``bounds.bounds_on_grid``; ``composite_loss_graph`` is their differentiable
 twin on autodiff nodes, used for the training steps.
+
+``train_partition`` computes the batch constants once, decides the restart
+candidates (random init, eta warm start when eta takes at least k distinct
+values, k-means warm start) and runs the restarts in parallel through
+``parallel.map_tasks``. Each restart task builds its candidate, warm start
+included, and trains it; forked workers inherit the constants rather than
+copying them. A task draws only from its own named streams
+(``partition-init/warm-{tag}``, ``partition-gumbel/batches-{restart}``, and
+``kmeans``), and the caller picks the first restart with the smallest
+validation loss, so the winner and its bytes do not depend on the process
+that trained it or on the worker count. Inside a pool worker (a sweep) the
+restarts run serially.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bounds as bnd
 from . import naive, nets  # called as naive.kmeans_fit, nets.adam_step: wrappers set on the modules apply
+from . import parallel
 from .data import DatasetSplit, OutcomeRange, SampleBatch, outcome_range_from_train
 from .nets import PartitionNet, TrainConfig, TrainLog, sample_gumbel, train_with_early_stopping
 from .nuisance import NuisanceSet
@@ -249,30 +262,41 @@ def _quantile_labels(values: np.ndarray, k: int) -> np.ndarray:
     return np.digitize(values, edges)
 
 
-def _candidate_nets(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig) -> list[PartitionNet]:
-    """Restart candidates: random init plus warm starts to cheap partitions.
+def _candidate_tags(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig) -> list[str]:
+    """Restart candidates in restart order: random init plus warm starts to
+    cheap partitions.
 
     The warm starts seed qualitatively different basins (cells of similar
     predicted treatment probability; k-means cells of the raw instrument);
     the composite loss then refines each and validation picks the winner.
+    The eta warm start needs k distinct eta values. The k-means one is last,
+    so when ``kmeans_fit`` refuses the instruments its task yields no
+    candidate and no other restart moves.
     """
-    candidates = [_fresh_partition_net(split, config, "random")]
+    tags = ["random"]
     if config.restarts >= 2 and config.k >= 2:
-        eta_vals = nuisances.eta.predict(split.train.z)
-        if len(np.unique(eta_vals)) >= config.k:
-            net = _fresh_partition_net(split, config, "eta")
-            _warm_start_to_labels(net, split.train.z, _quantile_labels(eta_vals, config.k), config, "eta")
-            candidates.append(net)
+        if len(np.unique(nuisances.eta.predict(split.train.z))) >= config.k:
+            tags.append("eta")
     if config.restarts >= 3 and config.k >= 2:
+        tags.append("kmeans")
+    return tags[: max(1, config.restarts)]
+
+
+def _candidate_net(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig,
+                   tag: str) -> PartitionNet | None:
+    if tag == "random":
+        return _fresh_partition_net(split, config, tag)
+    if tag == "eta":
+        labels = _quantile_labels(nuisances.eta.predict(split.train.z), config.k)
+    else:
         try:
             km = naive.kmeans_fit(split.train.z, config.k, config.seed, n_restarts=3)
         except ValueError:
-            km = None
-        if km is not None:
-            net = _fresh_partition_net(split, config, "kmeans")
-            _warm_start_to_labels(net, split.train.z, km.assign(split.train.z), config, "kmeans")
-            candidates.append(net)
-    return candidates[: max(1, config.restarts)]
+            return None
+        labels = km.assign(split.train.z)
+    net = _fresh_partition_net(split, config, tag)
+    _warm_start_to_labels(net, split.train.z, labels, config, tag)
+    return net
 
 
 @dataclass
@@ -282,6 +306,64 @@ class Stage2Result:
     log: TrainLog
     restart: int
     val_total: float
+
+
+def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig, rng_range: OutcomeRange,
+                   train_const: BatchConstants, val_const: BatchConstants, restart: int,
+                   tag: str) -> Stage2Result | None:
+    """Build the candidate ``tag`` and train it as restart ``restart``."""
+    net = _candidate_net(split, nuisances, config, tag)
+    if net is None:
+        return None
+    gumbel_rng = stream_rng(config.seed, f"partition-gumbel-{restart}")
+    batch_parts: list[CompositeLossBreakdown] = []
+    epoch_rows: list[dict] = []
+
+    def loss_fn(model, batch):
+        idx = batch["idx"].astype(int)
+        const = train_const.subset(idx)
+        noise = sample_gumbel((len(idx), config.k), gumbel_rng)
+        root, parts, pnodes, _ = composite_loss_graph(model, const, rng_range, config, noise, hard=True)
+        batch_parts.append(
+            CompositeLossBreakdown(
+                l_b=float(parts["l_b"].value) if parts["l_b"] is not None else np.nan,
+                l_reg=float(parts["l_reg"].value),
+                l_aux=float(parts["l_aux"].value),
+                lam=config.lam,
+                gamma=config.gamma,
+            )
+        )
+        return root, pnodes
+
+    def val_loss(model):
+        total, breakdown, info = validation_loss(model, val_const, rng_range, config)
+        with np.errstate(invalid="ignore"):
+            epoch_rows.append(
+                {
+                    "epoch": len(epoch_rows),
+                    "l_b": float(np.nanmean([p.l_b for p in batch_parts])) if batch_parts else np.nan,
+                    "l_reg": float(np.mean([p.l_reg for p in batch_parts])) if batch_parts else np.nan,
+                    "l_aux": float(np.mean([p.l_aux for p in batch_parts])) if batch_parts else np.nan,
+                    "total": float(np.mean([p.total for p in batch_parts])) if batch_parts else np.nan,
+                    "val_total": total,
+                    "min_cell_mass": float(info["masses"].min()),
+                }
+            )
+        batch_parts.clear()
+        return total
+
+    log = train_with_early_stopping(
+        net,
+        loss_fn,
+        {"idx": np.arange(len(split.train), dtype=np.float64)},
+        {"idx": np.arange(len(split.val), dtype=np.float64)},
+        config,
+        val_loss_fn=val_loss,
+        rng=stream_rng(config.seed, f"partition-batches-{restart}"),
+        min_batch_size=max(2, 2 * config.k),
+    )
+    final_val, _, _ = validation_loss(net, val_const, rng_range, config)
+    return Stage2Result(net=net, epoch_rows=epoch_rows, log=log, restart=restart, val_total=final_val)
 
 
 def train_partition(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig,
@@ -299,60 +381,10 @@ def train_partition(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCo
     rng_range = rng_range or outcome_range_from_train(split.train)
     train_const = batch_constants(nuisances, split.train)
     val_const = batch_constants(nuisances, split.val)
-
-    best: Stage2Result | None = None
-    for restart, net in enumerate(_candidate_nets(split, nuisances, config)):
-        gumbel_rng = stream_rng(config.seed, f"partition-gumbel-{restart}")
-        batch_parts: list[CompositeLossBreakdown] = []
-        epoch_rows: list[dict] = []
-
-        def loss_fn(model, batch):
-            idx = batch["idx"].astype(int)
-            const = train_const.subset(idx)
-            noise = sample_gumbel((len(idx), config.k), gumbel_rng)
-            root, parts, pnodes, _ = composite_loss_graph(model, const, rng_range, config, noise, hard=True)
-            batch_parts.append(
-                CompositeLossBreakdown(
-                    l_b=float(parts["l_b"].value) if parts["l_b"] is not None else np.nan,
-                    l_reg=float(parts["l_reg"].value),
-                    l_aux=float(parts["l_aux"].value),
-                    lam=config.lam,
-                    gamma=config.gamma,
-                )
-            )
-            return root, pnodes
-
-        def val_loss(model):
-            total, breakdown, info = validation_loss(model, val_const, rng_range, config)
-            with np.errstate(invalid="ignore"):
-                epoch_rows.append(
-                    {
-                        "epoch": len(epoch_rows),
-                        "l_b": float(np.nanmean([p.l_b for p in batch_parts])) if batch_parts else np.nan,
-                        "l_reg": float(np.mean([p.l_reg for p in batch_parts])) if batch_parts else np.nan,
-                        "l_aux": float(np.mean([p.l_aux for p in batch_parts])) if batch_parts else np.nan,
-                        "total": float(np.mean([p.total for p in batch_parts])) if batch_parts else np.nan,
-                        "val_total": total,
-                        "min_cell_mass": float(info["masses"].min()),
-                    }
-                )
-            batch_parts.clear()
-            return total
-
-        log = train_with_early_stopping(
-            net,
-            loss_fn,
-            {"idx": np.arange(len(split.train), dtype=np.float64)},
-            {"idx": np.arange(len(split.val), dtype=np.float64)},
-            config,
-            val_loss_fn=val_loss,
-            rng=stream_rng(config.seed, f"partition-batches-{restart}"),
-            min_batch_size=max(2, 2 * config.k),
-        )
-        final_val, _, _ = validation_loss(net, val_const, rng_range, config)
-        result = Stage2Result(net=net, epoch_rows=epoch_rows, log=log, restart=restart, val_total=final_val)
-        if best is None or result.val_total < best.val_total:
-            best = result
+    tasks = [(split, nuisances, config, rng_range, train_const, val_const, restart, tag)
+             for restart, tag in enumerate(_candidate_tags(split, nuisances, config))]
+    results = [r for r in parallel.map_tasks(_train_restart, tasks) if r is not None]
+    best = min(results, key=lambda r: r.val_total)
     return best.net, best.epoch_rows, best
 
 

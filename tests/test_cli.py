@@ -135,6 +135,14 @@ def test_bounds_ours_refuses_missing_inputs(tmp_path, capsys):
     assert not (out / "bounds.csv").exists()
 
 
+def test_reproduce_on_two_jobs_reports_a_training_abort(tmp_path, capsys):
+    # A TrainingAbort raised in a sweep worker reaches the CLI as itself.
+    code = run_cli("reproduce", "--table", "1", "--seeds", "0", "--n", "240", "--jobs", "2",
+                   "--max-epochs", "3", "--learning-rate", "1e200", "--out", str(tmp_path))
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: epoch 0, batch ")
+
+
 def test_naive_manifest_records_fair_architecture(tmp_path):
     out = tmp_path / "naive"
     assert run_cli("run", "--dataset", "1", "--method", "naive", "--k", "2", "--seed", "0",

@@ -24,6 +24,7 @@ def test_run_experiment_writes_artifacts(tmp_path):
     again = tmp_path / "again"
     experiments.run_experiment(1, "ours", 2, 0, n=300, out_dir=again, overrides=FAST)
     assert (again / "metrics.json").read_bytes() == (tmp_path / "metrics.json").read_bytes()
+    assert (again / "metrics.txt").read_bytes() == (tmp_path / "metrics.txt").read_bytes()
     for path in (tmp_path / "metrics.json", tmp_path / "metrics.trace.json"):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ def test_metrics_report_unknowns_are_null(tmp_path):
     assert json.loads(metrics.trace_path(path).read_text()) == {"runtime_seconds": None}
     text = report.render_text()
     assert "n/a" in text and "nan" not in text
+
+
+def test_metrics_text_has_a_runtime_row_only_when_known():
+    report = metrics.MetricsReport(
+        dataset=1, method="ours", k=2, seed=0, coverage=1.0, mean_width=1.05,
+        crossing_rate=0.0, min_cell_mass=0.4, mass_floor_violated=False, runtime_seconds=3.04,
+    )
+    assert [line.split() for line in report.render_text().splitlines() if "runtime" in line] == [
+        ["runtime", "[s]", "3.0"]]
+    unknown = replace(report, runtime_seconds=None).render_text()
+    assert "runtime" not in unknown
+    assert unknown.splitlines() == [line for line in report.render_text().splitlines() if "runtime" not in line]
 
 
 def test_metrics_report_without_trace_has_unknown_runtime(tmp_path):

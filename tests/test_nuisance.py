@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from ivbounds import data, nuisance
-from ivbounds.nets import TrainConfig
+from ivbounds.nets import OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TwoBranchNet
 from ivbounds.rng import stream_rng
 
 
@@ -143,6 +145,23 @@ def test_frozen_nuisances_reject_writes():
         nuis.mu.params["head0.w"][0, 0] = 99.0
     fp1 = nuis.fingerprint()
     assert fp1 == nuis.fingerprint()
+
+
+def test_frozen_nuisances_stay_frozen_when_pickled():
+    rng = stream_rng(0, "pickle")
+    nuis = nuisance.NuisanceSet(
+        mu=TwoBranchNet.create(1, 1, rng, OUTCOME_SPEC),
+        pi=TwoBranchNet.create(1, 1, rng, PROPENSITY_SPEC),
+        eta=EtaNet.create(1, rng),
+    ).freeze()
+    copy = pickle.loads(pickle.dumps(nuis))
+    assert copy.frozen and copy.fingerprint() == nuis.fingerprint()
+    for net in (copy.mu, copy.pi, copy.eta):
+        for arr in net.params.values():
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    thawed = pickle.loads(pickle.dumps(nuisance.NuisanceSet(mu=nuis.mu, pi=nuis.pi, eta=nuis.eta)))
+    assert not thawed.frozen and thawed.mu.params["head0.w"].flags.writeable
 
 
 @pytest.mark.slow
