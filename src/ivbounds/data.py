@@ -127,10 +127,6 @@ def propensity_dataset3(rho, x, u):
     return 0.48 * np.sin(10.0 * rho + x + u) + 0.48 + 0.04 / (1.0 + np.exp(-3.0 * np.abs(5.0 * rho)))
 
 
-def tau_fn(dataset: int):
-    return {1: tau_dataset12, 2: tau_dataset12, 3: tau_dataset3}[dataset]
-
-
 def z_mixture_density(z):
     """Density of the dataset 1/2 instrument on [-1, 1].
 
@@ -155,10 +151,6 @@ def uniform_sum_density(s, alpha: float, beta: float):
 def rho_level_probs() -> np.ndarray:
     """P(rho = r) for r = 0..5 under dataset 3 (Binomial(5, 1/2))."""
     return np.array([comb(5, r) / 32.0 for r in range(6)])
-
-
-def outcome_noise_free(x, u, tau, a):
-    return (np.asarray(x) + 0.5 * np.asarray(u)) * 0.25 + np.asarray(tau) * np.asarray(a)
 
 
 # ------------------------------------------------------------ generators

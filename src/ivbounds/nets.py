@@ -10,10 +10,15 @@ an auxiliary linear classification head on its last hidden layer.
 
 Training builds autodiff graphs (``_stack``/``_dense``) with one fused
 ``ad.dense`` node per layer; prediction runs the same layers in plain numpy
-(``_stack_np``/``_dense_np``), which is markedly faster for the large
-pairwise evaluations. ``AdamState`` keeps each moment in one flat buffer,
-with a per-parameter view into it under the parameter's name, so an Adam
-step is a handful of whole-buffer operations.
+(``_stack_np``/``_dense_np``, with bias and relu applied in place), the one
+numpy forward path of every net. ``predict_pairwise`` runs it over blocks of
+``PAIRWISE_BLOCK_PAIRS`` (x, z) pairs: small enough to stay in cache, and
+large enough to keep the first trunk matmul out of OpenBLAS's small-matrix
+kernel (M <= 5,000 rows), whose last bits differ (see ``predict_pairwise``).
+
+``AdamState`` keeps each moment in one flat buffer, with a per-parameter
+view into it under the parameter's name, so an Adam step is a handful of
+whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .parallel import PicklableFields
 from .rng import stream_rng
 
 HIDDEN_WIDTH = 10
+PAIRWISE_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -117,12 +123,15 @@ def _stack(h: ad.Node, pnodes, prefix: str, depth: int) -> ad.Node:
 
 
 def _dense_np(h: np.ndarray, params, prefix: str) -> np.ndarray:
-    return h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+    out = h @ params[f"{prefix}.w"]
+    out += params[f"{prefix}.b"]
+    return out
 
 
 def _stack_np(h: np.ndarray, params, prefix: str, depth: int) -> np.ndarray:
     for i in range(depth):
-        h = np.maximum(_dense_np(h, params, f"{prefix}{i}"), 0.0)
+        h = _dense_np(h, params, f"{prefix}{i}")
+        np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -222,27 +231,52 @@ class TwoBranchNet(_Net):
         return (_stack_np(_as_col(x), self.params, "x_enc.", self.spec.x_depth),
                 _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth))
 
-    def _heads_np(self, hx: np.ndarray, hz: np.ndarray) -> list[np.ndarray]:
-        """Transformed (n, 1) head outputs for row-aligned encodings."""
-        h = _stack_np(np.concatenate([hx, hz], axis=1), self.params, "shared.", self.spec.shared_depth)
+    def _heads_np(self, pairs: np.ndarray) -> list[np.ndarray]:
+        """Transformed (n, 1) head outputs for rows ``[hx | hz]`` of encodings."""
+        h = _stack_np(pairs, self.params, "shared.", self.spec.shared_depth)
         out = [_dense_np(h, self.params, name) for name in self.head_names]
         return [_sigmoid_np(v) for v in out] if self.spec.head_transform == "sigmoid" else out
 
     def predict(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Shape (n,) for one head, else (n, heads): the outcome net gives
         [arm 0, arm 1] columns."""
-        out = self._heads_np(*self._encode_np(x, z))
+        out = self._heads_np(np.concatenate(self._encode_np(x, z), axis=1))
         return out[0][:, 0] if len(out) == 1 else np.concatenate(out, axis=1)
 
-    def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, chunk: int = 64):
+    def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, block_pairs: int = PAIRWISE_BLOCK_PAIRS):
         """M[i, j] = prediction at (x_i, z_j), one (nq, nz) array per head:
-        the propensity net gives M, the outcome net (M0, M1)."""
+        the propensity net gives M, the outcome net (M0, M1).
+
+        The trunk runs on blocks of whole query rows, each at least
+        ``block_pairs`` pairs long (all nq rows when there are fewer pairs);
+        a short last block is folded into the one before it. Each block is a
+        view of one reused (rows, nz, 2h) buffer of ``[hx_i | hz_j]`` rows:
+        ``hz`` is tiled into it once and each block's ``hx`` rows are
+        broadcast into it, so no 20-MB repeat/tile temporaries stream
+        through memory.
+
+        The floor on the block size is what keeps the bits of the 64-query-
+        row chunks this replaced. The first trunk layer is an (M x 20) @
+        (20 x 10) matmul with M = pairs in the block; OpenBLAS 0.3.31
+        (measured on one thread and on two) computes it with a small-matrix
+        kernel whose last bits differ when M <= 5,000, and with the same
+        bits for every larger M. Blocks of 8,192 pairs stay above that
+        wherever a 64-row chunk did; where a chunk was already below it
+        (fewer than 79 z rows, or a ragged tail of few query rows) the bits
+        may differ.
+        """
         hx, hz = self._encode_np(xq, z)
-        nq, nz = hx.shape[0], hz.shape[0]
+        nq, nz, h = hx.shape[0], hz.shape[0], hx.shape[1]
+        rows = max(1, min(nq, -(-block_pairs // max(nz, 1))))
+        starts = range(0, nq - rows + 1, rows)
+        stops = [*starts[1:], nq]
+        buf = np.empty((nq - (starts[-1] if starts else 0), nz, 2 * h))
+        buf[:, :, h:] = hz
         out = [np.empty((nq, nz)) for _ in self.head_names]
-        for lo in range(0, nq, chunk):
-            hi = min(lo + chunk, nq)
-            heads = self._heads_np(np.repeat(hx[lo:hi], nz, axis=0), np.tile(hz, (hi - lo, 1)))
+        for lo, hi in zip(starts, stops):
+            block = buf[: hi - lo]
+            block[:, :, :h] = hx[lo:hi, None, :]
+            heads = self._heads_np(block.reshape(-1, 2 * h))
             for m, v in zip(out, heads):
                 m[lo:hi] = v.reshape(hi - lo, nz)
         return out[0] if len(out) == 1 else tuple(out)

@@ -369,6 +369,37 @@ def test_dataset3_pattern_enumeration_matches_level_bounds(d1_range):
     np.testing.assert_allclose(pattern_pair.upper, level_pair.upper, atol=1e-12)
 
 
+def _level_nuisances_per_x(x_grid, n_u, levels):
+    """Reference: the one-x-at-a-time loop that dataset3_level_nuisances replaced."""
+    u, w = bounds._trapezoid_weights(-1.0, 1.0, n_u)
+    pi = np.empty((len(x_grid), len(levels)))
+    mu1 = np.empty_like(pi)
+    mu0 = np.empty_like(pi)
+    tau = data.tau_dataset3(x_grid)
+    for j, r in enumerate(levels):
+        for i, x in enumerate(x_grid):
+            pi_u = data.propensity_dataset3(float(r), float(x), u)
+            pi[i, j] = np.sum(pi_u * w) / 2.0
+            for arm, out in ((1, mu1), (0, mu0)):
+                fac = pi_u if arm == 1 else 1.0 - pi_u
+                eu = np.sum(fac * w * u) / np.sum(fac * w)
+                out[i, j] = 0.25 * x + 0.125 * eu + tau[i] * arm
+    return pi, mu1, mu0
+
+
+@pytest.mark.parametrize("n_u", [1001, 2001])
+def test_dataset3_level_nuisances_are_bitwise_the_per_x_loop(n_u):
+    # 37 query points: two full blocks and a ragged one.
+    x_grid = stream_rng(5, "oracle-grid").uniform(-1.0, 1.0, 37)
+    patterns = np.array([bin(p).count("1") for p in range(32)])
+    for levels in (np.arange(6), patterns):
+        explicit = None if len(levels) == 6 else levels
+        *got, used = bounds.dataset3_level_nuisances(x_grid, n_u=n_u, levels=explicit)
+        np.testing.assert_array_equal(used, levels)
+        for g, w in zip(got, _level_nuisances_per_x(x_grid, n_u, levels)):
+            assert np.array_equal(g, w)
+
+
 # ------------------------------------------------- csv round trip
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -45,10 +46,27 @@ def test_run_experiment_oracle_only_dataset3():
         experiments.run_experiment(1, "oracle", 2, 0, n=300)
 
 
-def test_dataset3_runs_report_oracle_metrics():
+def test_dataset3_runs_report_oracle_metrics(monkeypatch):
+    # The runtime spans the whole run, oracle comparison included: it is at
+    # least the time from data generation to the end of the oracle.
+    marks = {}
+    generate, oracle = experiments.data.generate_dataset, experiments.metrics.oracle_bounds_dataset3
+
+    def timed_generate(*args, **kwargs):
+        marks["begin"] = time.perf_counter()
+        return generate(*args, **kwargs)
+
+    def timed_oracle(*args, **kwargs):
+        pair = oracle(*args, **kwargs)
+        marks["end"] = time.perf_counter()
+        return pair
+
+    monkeypatch.setattr(experiments.data, "generate_dataset", timed_generate)
+    monkeypatch.setattr(experiments.metrics, "oracle_bounds_dataset3", timed_oracle)
     report = experiments.run_experiment(3, "naive", 2, 0, n=300, overrides=FAST)
     assert report.oracle_mse is not None
     assert 0.0 <= report.oracle_coverage <= 1.0
+    assert report.runtime_seconds >= marks["end"] - marks["begin"]
 
 
 def _fake_report(dataset, method, k, seed, width, cov=1.0):

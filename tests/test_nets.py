@@ -332,18 +332,68 @@ def test_two_branch_spec_sets_heads_kind_and_loss():
 
 
 def test_pairwise_prediction_matches_pointwise():
+    # block_pairs=14 at 7 z gives blocks of 2 query rows: rows 0-1, then
+    # rows 2-4, the 1-row tail folded into the last block.
     xq = np.linspace(-1, 1, 5)
     z = np.linspace(-0.5, 0.5, 7)
     net = nets.TwoBranchNet.create(1, 1, stream_rng(1, "init"), nets.OUTCOME_SPEC)
-    m0, m1 = net.predict_pairwise(xq, z, chunk=2)
+    m0, m1 = net.predict_pairwise(xq, z, block_pairs=14)
     for i, xi in enumerate(xq):
         point = net.predict(np.full(7, xi), z)
         np.testing.assert_allclose(m0[i], point[:, 0], atol=1e-12)
         np.testing.assert_allclose(m1[i], point[:, 1], atol=1e-12)
     net = nets.TwoBranchNet.create(1, 1, stream_rng(1, "init"), nets.PROPENSITY_SPEC)
-    p = net.predict_pairwise(xq, z, chunk=2)
+    p = net.predict_pairwise(xq, z, block_pairs=14)
     for i, xi in enumerate(xq):
         np.testing.assert_allclose(p[i], net.predict(np.full(7, xi), z), atol=1e-12)
+
+
+def _pairwise_64_row_chunks(net, xq, z):
+    """Reference: the 64-query-row repeat/tile loop that predict_pairwise replaced."""
+    params = net.params
+
+    def dense(h, prefix):
+        return h @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+
+    def stack(h, prefix, depth):
+        for i in range(depth):
+            h = np.maximum(dense(h, f"{prefix}{i}"), 0.0)
+        return h
+
+    hx = stack(nets._as_col(xq), "x_enc.", net.spec.x_depth)
+    hz = stack(nets._as_col(z), "z_enc.", net.spec.z_depth)
+    nq, nz = hx.shape[0], hz.shape[0]
+    out = [np.empty((nq, nz)) for _ in net.head_names]
+    for lo in range(0, nq, 64):
+        hi = min(lo + 64, nq)
+        pairs = np.concatenate([np.repeat(hx[lo:hi], nz, axis=0), np.tile(hz, (hi - lo, 1))], axis=1)
+        h = stack(pairs, "shared.", net.spec.shared_depth)
+        heads = [dense(h, name) for name in net.head_names]
+        if net.spec.head_transform == "sigmoid":
+            heads = [nets._sigmoid_np(v) for v in heads]
+        for m, v in zip(out, heads):
+            m[lo:hi] = v.reshape(hi - lo, nz)
+    return out
+
+
+@pytest.mark.parametrize("spec", [nets.OUTCOME_SPEC, nets.PROPENSITY_SPEC], ids=["outcome", "propensity"])
+def test_pairwise_prediction_is_bitwise_the_64_row_loop(spec):
+    # Evaluation (800 test x 2,000 aggregation z), a ragged tail, one block
+    # of 37 rows, and a tiny single block. Wherever the 64-row chunks kept
+    # the trunk's first matmul out of the BLAS small-matrix kernel, the
+    # blocks do too, so the bits must not move.
+    net = nets.TwoBranchNet.create(1, 20, stream_rng(4, "init"), spec)
+    rng = np.random.default_rng(4)
+    for nq, nz in [(800, 2000), (801, 2000), (37, 400), (5, 7)]:
+        xq = rng.uniform(-1, 1, nq)
+        z = rng.integers(0, 2, size=(nz, 20)).astype(np.float64)
+        got = net.predict_pairwise(xq, z)
+        got = got if isinstance(got, tuple) else (got,)
+        want = _pairwise_64_row_chunks(net, xq, z)
+        assert len(got) == len(want) == spec.heads
+        for g, w in zip(got, want):
+            assert g.shape == (nq, nz)
+            assert np.array_equal(g, w), (nq, nz)
 
 
 def test_propensity_outputs_in_open_unit_interval():
