@@ -360,8 +360,7 @@ def _oracle_pass_dataset12(dataset: int, edges, rng: OutcomeRange, x_grid: np.nd
 
 
 def population_bounds_oracle(dataset: int, edges, rng: OutcomeRange, x_grid: np.ndarray,
-                             n_z: int = 2001, n_u: int = 1001, n_s: int = 2001,
-                             check_convergence: bool = True) -> BoundPair:
+                             n_z: int = 2001, n_u: int = 1001, n_s: int = 2001) -> BoundPair:
     """Bounds from exact DGP nuisances for a fixed hard interval partition.
 
     Datasets 1-2 only (scalar instrument); dataset 3 goes through
@@ -370,15 +369,14 @@ def population_bounds_oracle(dataset: int, edges, rng: OutcomeRange, x_grid: np.
     """
     x_grid = np.asarray(x_grid, dtype=np.float64)
     fine = _oracle_pass_dataset12(dataset, edges, rng, x_grid, n_z, n_u, n_s)
-    if check_convergence:
-        coarse = _oracle_pass_dataset12(dataset, edges, rng, x_grid, n_z // 2 + 1, n_u // 2 + 1, n_s // 2 + 1)
-        scale = max(rng.width, 1e-12)
-        drift = max(
-            float(np.max(np.abs(fine.lower - coarse.lower))),
-            float(np.max(np.abs(fine.upper - coarse.upper))),
-        )
-        if drift / scale > 1e-4:
-            raise QuadratureError(f"population bounds moved {drift / scale:.2e} relative on grid doubling")
+    coarse = _oracle_pass_dataset12(dataset, edges, rng, x_grid, n_z // 2 + 1, n_u // 2 + 1, n_s // 2 + 1)
+    scale = max(rng.width, 1e-12)
+    drift = max(
+        float(np.max(np.abs(fine.lower - coarse.lower))),
+        float(np.max(np.abs(fine.upper - coarse.upper))),
+    )
+    if drift / scale > 1e-4:
+        raise QuadratureError(f"population bounds moved {drift / scale:.2e} relative on grid doubling")
     return fine
 
 

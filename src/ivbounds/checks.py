@@ -2,8 +2,9 @@
 
 Each check returns (name, passed, detail); the suite covers gradient
 correctness for every graph op kind, the plug-in-vs-quadrature agreement,
-both asymptotic variance formulas, the bias-variance identity and the core
-bound-algebra identities.
+both asymptotic variance formulas, the bias-variance identity, the core
+bound-algebra identities and that the oracle bounds of every dataset contain
+the CATE.
 """
 
 from __future__ import annotations
@@ -43,13 +44,10 @@ GRADIENT_CASES = {
     "mul": lambda x: ad.reduce_sum(ad.mul(ad.mul(x, ad.constant(np.full((2, 3), 1.5))), 2.0)),
     "div": lambda x: ad.reduce_sum(ad.div(ad.div(x, ad.constant(np.full((2, 3), 2.0))), 4.0)),
     "neg": lambda x: ad.reduce_sum(ad.neg(x)),
-    "relu": lambda x: ad.reduce_sum(ad.relu(x)),
-    "sigmoid": lambda x: ad.reduce_sum(ad.sigmoid(x)),
     "softmax": lambda x: ad.reduce_sum(ad.mul(ad.softmax(x), ad.constant(np.arange(6.0).reshape(2, 3)))),
     "log_softmax": lambda x: ad.reduce_sum(ad.mul(ad.log_softmax(x), ad.constant(np.arange(6.0).reshape(2, 3)))),
     "softplus": lambda x: ad.reduce_sum(ad.softplus(x)),
     "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0))),
-    "exp": lambda x: ad.reduce_sum(ad.exp(x)),
     "clip_min": lambda x: ad.reduce_sum(ad.clip_min(x, 0.1)),
     "sum": lambda x: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=1), ad.constant(np.array([1.0, 2.0])))),
     "mean": lambda x: ad.reduce_sum(ad.mul(ad.reduce_mean(x, axis=0), ad.constant(np.array([1.0, -1.0, 2.0])))),
@@ -59,17 +57,13 @@ GRADIENT_CASES = {
         ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=1), ad.constant(np.arange(12.0).reshape(2, 6)))
     ),
     "gumbel_noise_add": lambda x: ad.reduce_sum(
-        ad.sigmoid(ad.gumbel_noise_add(x, np.linspace(-1, 1, 6).reshape(2, 3)))
+        ad.softplus(ad.gumbel_noise_add(x, np.linspace(-1, 1, 6).reshape(2, 3)))
     ),
 }
 
 
 def _contract_checked_ops() -> dict[str, CheckResult]:
     out = {}
-    x = ad.input_node(np.array([1.0, 2.0]), name="x", trainable=True)
-    grads = ad.backward_grad(ad.reduce_sum(ad.mul(ad.detach(x), x)))
-    ok = np.array_equal(grads["x"], x.value)
-    out["detach"] = CheckResult("gradient detach", ok, "stop-gradient contract")
     out["input"] = CheckResult("gradient input", True, "covered by every finite-difference case")
 
     logits = ad.input_node(np.array([[0.2, 0.5], [0.9, 0.1]]), name="l", trainable=True)
@@ -87,7 +81,8 @@ def _contract_checked_ops() -> dict[str, CheckResult]:
 
 def gradient_point(op: str) -> np.ndarray:
     """The (2, 3) point the case for ``op`` is checked at: fixed per op name,
-    moved off the non-differentiable points of relu, clip_min, min and max."""
+    moved off the non-differentiable points of dense's relu, clip_min, min
+    and max."""
     point = stream_rng(0, f"gradient {op}").normal(size=(2, 3))
     point = np.where(np.abs(point) < 1e-3, point + 0.1, point)
     return np.where(np.abs(point - 0.1) < 1e-3, point + 0.05, point)
@@ -264,6 +259,21 @@ def oracle_validity_checks() -> list[CheckResult]:
     return [CheckResult("dataset-3 oracle bounds contain the CATE", ok, "101-point grid")]
 
 
+def population_oracle_checks() -> list[CheckResult]:
+    """Exact-nuisance bounds of datasets 1 and 2, two cells split at z = 0,
+    against the CATE; the outcome range is that of the seed-0 training split."""
+    x_grid = np.linspace(-1.0, 1.0, 21)
+    tau = dgp.tau_dataset12(x_grid)
+    results = []
+    for dataset in (1, 2):
+        split = dgp.split_dataset(dgp.generate_dataset(dataset, 2000, 0), 0)
+        r = dgp.outcome_range_from_train(split.train)
+        pair = bnd.population_bounds_oracle(dataset, [0.0], r, x_grid, n_z=801, n_u=401, n_s=801)
+        ok = bool(np.all(pair.lower <= tau) and np.all(tau <= pair.upper))
+        results.append(CheckResult(f"dataset-{dataset} population bounds contain the CATE", ok, "21-point grid"))
+    return results
+
+
 def run_all_checks() -> list[CheckResult]:
     results = []
     results.extend(gradient_checks())
@@ -273,4 +283,5 @@ def run_all_checks() -> list[CheckResult]:
     results.extend(variance_checks())
     results.extend(decomposition_checks())
     results.extend(oracle_validity_checks())
+    results.extend(population_oracle_checks())
     return results

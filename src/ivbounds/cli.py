@@ -13,8 +13,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff, bounds, checks, data, experiments, metrics, nuisance, partition
 from .nets import load_checkpoint, save_checkpoint
 
@@ -142,13 +140,11 @@ def cmd_bounds(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.method == "oracle":
-        pair = metrics.oracle_bounds_dataset3(split.test.x, rng_range, n_u=2001)
+        pair = metrics.oracle_bounds_dataset3(split.test.x, rng_range)
     else:
         nuis = _load_nuisances(Path(args.nuisance))
         net = load_checkpoint(Path(args.partition))
-        z_all = np.concatenate([split.train.z, split.val.z, split.test.z])
-        a_all = np.concatenate([split.train.a, split.val.a, split.test.a])
-        pair, _ = partition.evaluate_bounds(net, nuis, split.test, rng_range, agg_z=z_all, agg_a=a_all)
+        pair, _ = partition.evaluate_bounds(net, nuis, split, rng_range)
     pair.to_csv(out / "bounds.csv")
     experiments.write_manifest(out, "bounds", {
         "data": str(args.data), "method": args.method,

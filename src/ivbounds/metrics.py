@@ -149,7 +149,7 @@ def msd_over_k(pairs_by_k: dict[int, bnd.BoundPair]) -> float:
     return total / count
 
 
-def oracle_bounds_dataset3(x_grid: np.ndarray, rng_range: OutcomeRange, n_u: int = 10_001) -> bnd.BoundPair:
+def oracle_bounds_dataset3(x_grid: np.ndarray, rng_range: OutcomeRange, n_u: int = 2001) -> bnd.BoundPair:
     """Discrete bounds on the latent score with exact enumerated nuisances."""
     pi, mu1, mu0, _ = bnd.dataset3_level_nuisances(x_grid, n_u=n_u)
     coarse_pi, coarse_mu1, coarse_mu0, _ = bnd.dataset3_level_nuisances(x_grid, n_u=n_u // 2 + 1)

@@ -5,7 +5,8 @@ results in task order. The callers are the restarts of one fit
 (``nuisance``, ``partition``, ``naive``) and the runs of a sweep
 (``experiments.run_sweep``). Each task draws only from its own named random
 streams, so its result does not depend on which process runs it or when:
-every worker count gives the same bytes.
+every worker count gives the same bytes. Those bytes are fixed per BLAS
+thread count (see ``experiments``).
 
 How the work is spread:
 

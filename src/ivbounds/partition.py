@@ -388,18 +388,18 @@ def train_partition(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCo
     return best.net, best.epoch_rows, best
 
 
-def evaluate_bounds(net: PartitionNet, nuisances: NuisanceSet, batch: SampleBatch,
-                    rng_range: OutcomeRange, agg_z: np.ndarray | None = None,
-                    agg_a: np.ndarray | None = None) -> tuple[bnd.BoundPair, dict]:
-    """Final bounds at the batch's query points: hard assignments.
+def evaluate_bounds(net: PartitionNet, nuisances: NuisanceSet, split: DatasetSplit,
+                    rng_range: OutcomeRange) -> tuple[bnd.BoundPair, dict]:
+    """Final bounds at the test split's query points: hard assignments.
 
-    The plug-in sums run over (agg_z, agg_a) when given (the estimator is
-    defined over the whole observational sample), else over the batch.
+    The plug-in sums run over the whole observational sample (train, val
+    and test, in that order), as the estimator is defined over it.
     """
-    if agg_z is None:
-        agg_z, agg_a = batch.z, batch.a
+    parts = (split.train, split.val, split.test)
+    agg_z = np.concatenate([b.z for b in parts])
+    agg_a = np.concatenate([b.a for b in parts])
     assignment = hard_assignment(net, agg_z)
-    rep = bnd.representation_from_estimates(nuisances, assignment, agg_z, agg_a, batch.x)
+    rep = bnd.representation_from_estimates(nuisances, assignment, agg_z, agg_a, split.test.x)
     pair = bnd.bounds_on_grid(rep, rng_range)
     diag = {
         "cell_masses": assignment.cell_masses,

@@ -14,7 +14,7 @@ from test_golden import GOLDEN_PATH, GOLDEN_RUNS, dump_golden, record_run
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {name: record_run(dataset, k, Path(tmp) / name) for name, (dataset, k) in GOLDEN_RUNS.items()}
+        runs = {name: record_run(*run, Path(tmp) / name) for name, run in GOLDEN_RUNS.items()}
     GOLDEN_PATH.write_text(dump_golden(runs))
     print(f"wrote {GOLDEN_PATH}")
 

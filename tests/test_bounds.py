@@ -346,8 +346,7 @@ def test_population_oracle_dataset1_contains_cate(d1_range):
 
 def test_population_oracle_single_cell_width(d1_range):
     x_grid = np.linspace(-1, 1, 5)
-    pair = bounds.population_bounds_oracle(1, [], d1_range, x_grid, n_z=401, n_u=201, n_s=401,
-                                           check_convergence=False)
+    pair = bounds.population_bounds_oracle(1, [], d1_range, x_grid, n_z=401, n_u=201, n_s=401)
     np.testing.assert_allclose(pair.width, d1_range.width, atol=1e-9)
 
 

@@ -215,7 +215,7 @@ class _LinearNet(nets._Net):
     def loss_graph(self, batch):
         pnodes = self.param_nodes()
         x = ad.input_node(batch["x"].reshape(-1, 1))
-        pred = ad.add(ad.matmul(x, pnodes["w"]), pnodes["b"])
+        pred = ad.dense(x, pnodes["w"], pnodes["b"])
         diff = ad.sub(pred, ad.constant(batch["y"].reshape(-1, 1)))
         return ad.reduce_mean(ad.mul(diff, diff)), pnodes
 

@@ -157,7 +157,7 @@ def _pipeline(split, config, constant_eta):
         nuis = _constant_eta(split, nuis)
     tags = partition._candidate_tags(split, nuis, config)
     net, rows, stage2 = partition.train_partition(split, nuis, config)
-    pair, _ = partition.evaluate_bounds(net, nuis, split.test, data.outcome_range_from_train(split.train))
+    pair, _ = partition.evaluate_bounds(net, nuis, split, data.outcome_range_from_train(split.train))
     params = [np.ascontiguousarray(p).tobytes() for n in (nuis.mu, nuis.pi, nuis.eta, net)
               for _, p in sorted(n.params.items())]
     logs = repr({name: vars(log) for name, log in nuis.logs.items()})

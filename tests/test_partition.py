@@ -199,7 +199,7 @@ def test_train_partition_k1_keeps_full_width(small_setup):
     config = TrainConfig(seed=1, max_epochs=3, batch_size=120, k=1)
     rng_range = data.outcome_range_from_train(split.train)
     net, rows, _ = partition.train_partition(split, nuis, config, rng_range)
-    pair, _ = partition.evaluate_bounds(net, nuis, split.test, rng_range)
+    pair, _ = partition.evaluate_bounds(net, nuis, split, rng_range)
     np.testing.assert_allclose(pair.width, rng_range.width, atol=1e-9)
     # L_reg for one cell is -log(1) = 0.
     assert rows[0]["l_reg"] == pytest.approx(0.0, abs=1e-12)
