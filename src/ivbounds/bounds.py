@@ -10,10 +10,12 @@ pairs (l, m) of
 Cells come either from a learned partition or from a finite instrument
 alphabet. For a learned partition, ``aggregate_cells`` is the one numpy
 kernel for the plug-in aggregates (soft or hard weights, empty cell-arms
-masked), and ``bounds_on_grid`` is the one min/max reduction; the k x k
+masked; ``one_hot`` builds hard weights from cell labels), and
+``bounds_on_grid`` is the one min/max reduction; the k x k
 ``pairwise_bound_matrix``/``tightest_bounds`` pair is the readable
-reference it is checked against. A quadrature/enumeration oracle evaluates
-the same quantities in population for the synthetic generators.
+reference it is checked against. This module holds only that algebra: the
+population oracle that evaluates the same quantities from the synthetic
+generators' exact nuisances lives in ``metrics``.
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data as dgp
 from .data import OutcomeRange
 from .parallel import PicklableFields
-
-
-# Query points per block of ``dataset3_level_nuisances``: each (16, n_u)
-# float64 temporary is 256 kB at the n_u = 2,001 that runs use.
-ORACLE_BLOCK_ROWS = 16
 
 
 class EmptyCellError(PicklableFields, ValueError):
@@ -44,41 +40,11 @@ class EmptyCellError(PicklableFields, ValueError):
         super().__init__(f"empty {what}: aggregate undefined (cell occupancy regularization should prevent this)")
 
 
-class QuadratureError(RuntimeError):
-    """Population integrals failed the grid-doubling convergence check."""
-
-
-@dataclass
-class PartitionAssignment:
-    """Per-sample cell weights; rows live on the k-simplex."""
-
-    weights: np.ndarray  # (n, k)
-    mode: str  # "hard" or "soft"
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be 2-D (n, k)")
-        if self.mode not in ("hard", "soft"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        row_sums = self.weights.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9) or np.any(self.weights < 0):
-            raise ValueError("rows must lie on the simplex (sum to 1 within 1e-9)")
-        if self.mode == "hard" and not np.all((self.weights == 0.0) | (self.weights == 1.0)):
-            raise ValueError("hard mode requires exact one-hot rows")
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, k: int) -> "PartitionAssignment":
-        w = np.zeros((len(labels), k))
-        w[np.arange(len(labels)), labels] = 1.0
-        return cls(weights=w, mode="hard")
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def cell_masses(self) -> np.ndarray:
-        return self.weights.mean(axis=0)
+def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    """Hard cell weights (n, k): row j is 1 in column ``labels[j]``, 0 elsewhere."""
+    weights = np.zeros((len(labels), k))
+    weights[np.arange(len(labels)), labels] = 1.0
+    return weights
 
 
 @dataclass
@@ -195,12 +161,12 @@ def aggregate_cells(xq: np.ndarray, m1: np.ndarray, m0: np.ndarray, p: np.ndarra
     )
 
 
-def representation_from_estimates(nuisance, assignment: PartitionAssignment, z: np.ndarray, a: np.ndarray,
+def representation_from_estimates(nuisance, weights: np.ndarray, z: np.ndarray, a: np.ndarray,
                                   xq: np.ndarray) -> RepresentationNuisance:
     """Per-cell aggregates of the fitted first-stage nets over a query grid."""
     m0, m1 = nuisance.mu.predict_pairwise(xq, z)
     p = nuisance.pi.predict_pairwise(xq, z)
-    return aggregate_cells(xq, m1, m0, p, nuisance.eta.predict(z), a, assignment.weights)
+    return aggregate_cells(xq, m1, m0, p, nuisance.eta.predict(z), a, weights)
 
 
 # --------------------------------------------------------- bound algebra
@@ -282,163 +248,3 @@ def discrete_bounds_on_grid(x: np.ndarray, pi: np.ndarray, mu1: np.ndarray, mu0:
         valid_m=np.ones(pi.shape[1], dtype=bool),
     )
     return bounds_on_grid(rep, rng)
-
-
-# --------------------------------------------------------- population oracle
-
-
-def _trapezoid_weights(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(lo, hi, n)
-    w = np.full(n, (hi - lo) / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return grid, w
-
-
-def _true_propensity(dataset: int):
-    return {1: dgp.propensity_dataset1, 2: dgp.propensity_dataset2}[dataset]
-
-
-def eta_true_dataset12(dataset: int, z: np.ndarray, n_s: int = 4001) -> np.ndarray:
-    """P(A=1 | Z=z) by marginalizing the confounders.
-
-    Both propensities depend on (x, u) only through a sum with a known
-    trapezoid density, so the 2-D marginal reduces to one integral.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if dataset == 1:
-        s, w = _trapezoid_weights(-1.5, 1.5, n_s)
-        dens = dgp.uniform_sum_density(s, 1.0, 0.5)
-        inner = dgp._sigmoid((2.0 * np.abs(z)[:, None] - dgp.Z_SUPPORT_MAX) + s[None, :])
-        return 0.05 + 0.9 * (inner @ (w * dens))
-    if dataset == 2:
-        s, w = _trapezoid_weights(-2.0, 2.0, n_s)
-        dens = dgp.uniform_sum_density(s, 1.0, 1.0)
-        inner = np.sin(2.5 * z[:, None] + s[None, :])
-        return 0.48 * (inner @ (w * dens)) + 0.48 + 0.04 / (1.0 + np.exp(-3.0 * np.abs(z)))
-    raise ValueError(f"no scalar-instrument law for dataset {dataset}")
-
-
-def true_nuisances_dataset12(dataset: int, x: float, z: np.ndarray, n_u: int = 2001):
-    """(pi(x,z), mu1(x,z), mu0(x,z)) for the scalar-instrument generators.
-
-    mu^a(x,z) = 0.25 x + 0.125 E[U | x, a, z] + tau(x) a, with the
-    conditional U-moment computed by quadrature over the treatment weight.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    u, w = _trapezoid_weights(-1.0, 1.0, n_u)
-    pi_zu = _true_propensity(dataset)(z[:, None], x, u[None, :])
-    pi_x = (pi_zu @ w) / 2.0
-    tau = float(dgp.tau_dataset12(x))
-    mus = []
-    for arm in (1, 0):
-        fac = pi_zu if arm == 1 else 1.0 - pi_zu
-        eu = (fac @ (w * u)) / (fac @ w)
-        mus.append(0.25 * x + 0.125 * eu + tau * arm)
-    return pi_x, mus[0], mus[1]
-
-
-def _oracle_pass_dataset12(dataset: int, edges, rng: OutcomeRange, x_grid: np.ndarray,
-                           n_z: int, n_u: int, n_s: int) -> BoundPair:
-    cuts = [-1.0] + sorted(float(e) for e in edges) + [1.0]
-    cells = list(zip(cuts[:-1], cuts[1:]))
-    k = len(cells)
-    nq = len(x_grid)
-    pi = np.empty((nq, k))
-    mu1 = np.empty((nq, k))
-    mu0 = np.empty((nq, k))
-    for cell, (lo, hi) in enumerate(cells):
-        zg, zw = _trapezoid_weights(lo, hi, n_z)
-        dens = dgp.z_mixture_density(zg) * zw
-        eta1 = eta_true_dataset12(dataset, zg, n_s)
-        for i, x in enumerate(x_grid):
-            pi_x, mu1_x, mu0_x = true_nuisances_dataset12(dataset, float(x), zg, n_u)
-            pi[i, cell] = np.sum(pi_x * dens) / np.sum(dens)
-            mu1[i, cell] = np.sum(mu1_x * eta1 * dens) / np.sum(eta1 * dens)
-            mu0[i, cell] = np.sum(mu0_x * (1.0 - eta1) * dens) / np.sum((1.0 - eta1) * dens)
-    return discrete_bounds_on_grid(x_grid, pi, mu1, mu0, rng)
-
-
-def population_bounds_oracle(dataset: int, edges, rng: OutcomeRange, x_grid: np.ndarray,
-                             n_z: int = 2001, n_u: int = 1001, n_s: int = 2001) -> BoundPair:
-    """Bounds from exact DGP nuisances for a fixed hard interval partition.
-
-    Datasets 1-2 only (scalar instrument); dataset 3 goes through
-    ``dataset3_level_nuisances``. Errors if halving every quadrature grid
-    moves any bound by more than 1e-4 relative.
-    """
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    fine = _oracle_pass_dataset12(dataset, edges, rng, x_grid, n_z, n_u, n_s)
-    coarse = _oracle_pass_dataset12(dataset, edges, rng, x_grid, n_z // 2 + 1, n_u // 2 + 1, n_s // 2 + 1)
-    scale = max(rng.width, 1e-12)
-    drift = max(
-        float(np.max(np.abs(fine.lower - coarse.lower))),
-        float(np.max(np.abs(fine.upper - coarse.upper))),
-    )
-    if drift / scale > 1e-4:
-        raise QuadratureError(f"population bounds moved {drift / scale:.2e} relative on grid doubling")
-    return fine
-
-
-def dataset3_level_nuisances(x_grid: np.ndarray, n_u: int = 10_001, levels: np.ndarray | None = None):
-    """Exact (pi, mu1, mu0) at each latent-score level of dataset 3.
-
-    Returns arrays of shape (nq, L) plus the level values used. ``levels``
-    defaults to the six realizable scores 0..5; passing repeated values
-    (e.g. one per first-five-bit pattern) must leave bounds unchanged.
-
-    Each level is integrated over blocks of ``ORACLE_BLOCK_ROWS`` query
-    points at once, as (rows, n_u) arrays reduced along the u axis, with
-    ``pi_u * w`` and ``(1 - pi_u) * w`` formed once per block. Every entry
-    goes through the same operations in the same order as a one-x-at-a-time
-    1-D trapezoid sum, so the result is bitwise the same; the block only
-    keeps the temporaries small enough to stay in cache.
-    """
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    if levels is None:
-        levels = np.arange(6)
-    levels = np.asarray(levels)
-    u, w = _trapezoid_weights(-1.0, 1.0, n_u)
-    nq, nl = len(x_grid), len(levels)
-    pi = np.empty((nq, nl))
-    mu1 = np.empty((nq, nl))
-    mu0 = np.empty((nq, nl))
-    tau = dgp.tau_dataset3(x_grid)
-    for j, r in enumerate(levels):
-        for lo in range(0, nq, ORACLE_BLOCK_ROWS):
-            rows = slice(lo, lo + ORACLE_BLOCK_ROWS)
-            x = x_grid[rows]
-            pi_u = dgp.propensity_dataset3(float(r), x[:, None], u)
-            treated_w = pi_u * w
-            control_w = (1.0 - pi_u) * w
-            treated_mass = treated_w.sum(axis=1)
-            pi[rows, j] = treated_mass / 2.0
-            for arm, fac_w, mass, out in ((1, treated_w, treated_mass, mu1),
-                                          (0, control_w, control_w.sum(axis=1), mu0)):
-                eu = (fac_w * u).sum(axis=1) / mass
-                out[rows, j] = 0.25 * x + 0.125 * eu + tau[rows] * arm
-    return pi, mu1, mu0, levels
-
-
-# ------------------------------------------- fixed-nuisance quadrature oracle
-
-
-def population_aggregate_mu(mu_fn, eta_fn, z_lo: float, z_hi: float, x: float, arm: int,
-                            z_density=dgp.z_mixture_density, n_z: int = 10_001) -> float:
-    """Population value of the plug-in outcome aggregate for one interval cell.
-
-    ``mu_fn(x, z)`` and ``eta_fn(z)`` are fixed functions; treatments are
-    assumed sampled from ``eta_fn``, so the estimator's eta factor matches
-    the true arm probability. 1-D trapezoid over the instrument density.
-    """
-    zg, zw = _trapezoid_weights(z_lo, z_hi, n_z)
-    dens = z_density(zg) * zw
-    eta_a = eta_fn(zg) if arm == 1 else 1.0 - eta_fn(zg)
-    return float(np.sum(mu_fn(x, zg) * eta_a * dens) / np.sum(eta_a * dens))
-
-
-def population_aggregate_pi(pi_fn, z_lo: float, z_hi: float, x: float,
-                            z_density=dgp.z_mixture_density, n_z: int = 10_001) -> float:
-    zg, zw = _trapezoid_weights(z_lo, z_hi, n_z)
-    dens = z_density(zg) * zw
-    return float(np.sum(pi_fn(x, zg) * dens) / np.sum(dens))

@@ -1,10 +1,12 @@
 """Self-contained verification suite behind the ``checks`` CLI command.
 
 Each check returns (name, passed, detail); the suite covers gradient
-correctness for every graph op kind, the plug-in-vs-quadrature agreement,
-both asymptotic variance formulas, the bias-variance identity, the core
+correctness for every graph op kind, the plug-in aggregates against the
+population oracle's quadrature (``metrics.cell_nuisances``), both
+asymptotic variance formulas, the bias-variance identity, the core
 bound-algebra identities and that the oracle bounds of every dataset contain
-the CATE.
+the CATE. ``run_all_checks`` is the one list; its fast mode drops the checks
+that train or run an oracle and cuts the sample and replicate counts.
 """
 
 from __future__ import annotations
@@ -62,10 +64,7 @@ GRADIENT_CASES = {
 }
 
 
-def _contract_checked_ops() -> dict[str, CheckResult]:
-    out = {}
-    out["input"] = CheckResult("gradient input", True, "covered by every finite-difference case")
-
+def _straight_through_check() -> CheckResult:
     logits = ad.input_node(np.array([[0.2, 0.5], [0.9, 0.1]]), name="l", trainable=True)
     soft = ad.softmax(logits)
     hard = ad.straight_through(soft)
@@ -75,8 +74,7 @@ def _contract_checked_ops() -> dict[str, CheckResult]:
     logits2 = ad.input_node(logits.value, name="l", trainable=True)
     g_soft = ad.backward_grad(ad.reduce_sum(ad.mul(ad.softmax(logits2), coeff)))["l"]
     st_ok = onehot_ok and np.array_equal(g_hard, g_soft)
-    out["straight_through"] = CheckResult("gradient straight_through", st_ok, "exact one-hot, soft backward")
-    return out
+    return CheckResult("gradient straight_through", st_ok, "exact one-hot, soft backward")
 
 
 def gradient_point(op: str) -> np.ndarray:
@@ -90,12 +88,12 @@ def gradient_point(op: str) -> np.ndarray:
 
 def gradient_checks(tolerance: float = 1e-4) -> list[CheckResult]:
     results = []
-    contract = _contract_checked_ops()
-    covered = set(GRADIENT_CASES) | set(contract)
+    # Every finite-difference case differentiates through an input node.
+    covered = set(GRADIENT_CASES) | {"straight_through", "input"}
     for op in sorted(GRADIENT_CASES):
         err = ad.finite_diff_check(GRADIENT_CASES[op], gradient_point(op), step=1e-5)
         results.append(CheckResult(f"gradient {op}", err < tolerance, f"max relative error {err:.2e}"))
-    results.extend(contract.values())
+    results.append(_straight_through_check())
     missing = set(ad.OP_KINDS) - covered
     results.append(
         CheckResult("gradient coverage", not missing, "all op kinds checked" if not missing else f"missing {missing}")
@@ -138,40 +136,18 @@ def composite_loss_gradient_check(tolerance: float = 1e-3) -> CheckResult:
 
 
 def quadrature_agreement_check(n: int = 100_000) -> list[CheckResult]:
-    def mu_fn(x, z):
-        return 0.3 + 0.2 * x + 0.1 * np.sin(3.0 * z)
-
-    def eta_fn(z):
-        return 1.0 / (1.0 + np.exp(-1.2 * z))
-
-    def pi_fn(x, z):
-        return 0.5 + 0.3 * np.tanh(z) + 0.1 * x
-
     x = 0.3
     z = dgp._mixture_instrument(n, 5)
-    a = (stream_rng(5, "treat").random(n) < eta_fn(z)).astype(int)
-    weights = bnd.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
-    m = mu_fn(x, z)[None, :]
-    rep = bnd.aggregate_cells(np.array([x]), m, m, pi_fn(x, z)[None, :], eta_fn(z), a, weights)
-    mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
+    a = (stream_rng(5, "treat").random(n) < metrics.synthetic_eta(z)).astype(int)
+    rep = metrics.synthetic_plugin_aggregates(x, z, a)
+    pi_pop, mu_pop, _ = metrics.cell_nuisances(metrics.synthetic_nuisances, metrics.synthetic_eta, [0.0],
+                                               np.array([x]))
     results = []
-    for cell, (lo, hi) in enumerate([(-1.0, 0.0), (0.0, 1.0)]):
-        mu_pop = bnd.population_aggregate_mu(mu_fn, eta_fn, lo, hi, x, arm=1)
-        pi_pop = bnd.population_aggregate_pi(pi_fn, lo, hi, x)
-        results.append(
-            CheckResult(
-                f"plug-in mu aggregate vs quadrature (cell {cell})",
-                abs(mu_vals[cell] - mu_pop) < 0.02,
-                f"|{mu_vals[cell]:.4f} - {mu_pop:.4f}| at n={n}",
-            )
-        )
-        results.append(
-            CheckResult(
-                f"plug-in pi aggregate vs quadrature (cell {cell})",
-                abs(pi_vals[cell] - pi_pop) < 0.01,
-                f"|{pi_vals[cell]:.4f} - {pi_pop:.4f}| at n={n}",
-            )
-        )
+    for cell in range(2):
+        for name, plugin, pop, tolerance in (("mu", rep.mu1, mu_pop, 0.02), ("pi", rep.pi, pi_pop, 0.01)):
+            hat, quad = plugin[0, cell], pop[0, cell]
+            results.append(CheckResult(f"plug-in {name} aggregate vs quadrature (cell {cell})",
+                                       abs(hat - quad) < tolerance, f"|{hat:.4f} - {quad:.4f}| at n={n}"))
     return results
 
 
@@ -268,20 +244,23 @@ def population_oracle_checks() -> list[CheckResult]:
     for dataset in (1, 2):
         split = dgp.split_dataset(dgp.generate_dataset(dataset, 2000, 0), 0)
         r = dgp.outcome_range_from_train(split.train)
-        pair = bnd.population_bounds_oracle(dataset, [0.0], r, x_grid, n_z=801, n_u=401, n_s=801)
+        pair = metrics.population_bounds_oracle(dataset, [0.0], r, x_grid, n_z=801, n_u=401, n_s=801)
         ok = bool(np.all(pair.lower <= tau) and np.all(tau <= pair.upper))
         results.append(CheckResult(f"dataset-{dataset} population bounds contain the CATE", ok, "21-point grid"))
     return results
 
 
-def run_all_checks() -> list[CheckResult]:
-    results = []
-    results.extend(gradient_checks())
-    results.append(composite_loss_gradient_check())
-    results.extend(bound_identity_checks())
-    results.extend(quadrature_agreement_check())
-    results.extend(variance_checks())
-    results.extend(decomposition_checks())
-    results.extend(oracle_validity_checks())
-    results.extend(population_oracle_checks())
+def run_all_checks(fast: bool = False) -> list[CheckResult]:
+    """The whole suite. ``fast`` skips the composite-loss gradient (it
+    trains nuisances) and the oracle checks, and cuts the sample and
+    replicate counts of the Monte Carlo checks."""
+    results = gradient_checks()
+    if not fast:
+        results.append(composite_loss_gradient_check())
+    results += bound_identity_checks()
+    results += quadrature_agreement_check(n=20_000 if fast else 100_000)
+    results += variance_checks(replicates=2_000 if fast else 10_000)
+    results += decomposition_checks(replicates=400 if fast else 2_000)
+    if not fast:
+        results += oracle_validity_checks() + population_oracle_checks()
     return results

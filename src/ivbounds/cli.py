@@ -10,27 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import autodiff, bounds, checks, data, experiments, metrics, nuisance, partition
-from .nets import load_checkpoint, save_checkpoint
+from .nets import TrainConfig, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 
-_TRAIN_FLAGS = {
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience": int,
-    "batch_size": int,
-    "lam": float,
-    "gamma": float,
-    "temperature": float,
-    "restarts": int,
-}
+# One flag per training hyperparameter; k and seed are run arguments.
+_TRAIN_FLAGS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name not in ("k", "seed")}
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -201,15 +193,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_checks(args) -> int:
-    if args.fast:
-        results = []
-        results.extend(checks.gradient_checks())
-        results.extend(checks.bound_identity_checks())
-        results.extend(checks.quadrature_agreement_check(n=20_000))
-        results.extend(checks.variance_checks(replicates=2_000))
-        results.extend(checks.decomposition_checks(replicates=400))
-    else:
-        results = checks.run_all_checks()
+    results = checks.run_all_checks(fast=args.fast)
     failed = 0
     for result in results:
         print(result.line())
@@ -307,7 +291,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (
         autodiff.NonFiniteError,
-        bounds.QuadratureError,
+        metrics.QuadratureError,
         bounds.EmptyCellError,
         FloatingPointError,
         ArithmeticError,

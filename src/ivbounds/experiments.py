@@ -91,7 +91,8 @@ def run_experiment(dataset: int, method: str, k: int, seed: int, n: int = 2000,
             save_checkpoint(nuis.eta, out / "eta.ckpt")
             save_checkpoint(net, out / "partition.ckpt")
     elif method == "naive":
-        pair, fit, diag = naive.naive_bounds_pipeline(split, k, rng_range, config)
+        fit = naive.fit_naive(split, k, config)
+        pair, diag = naive.naive_bounds(fit, split.test, rng_range)
         extra["kmeans_inertia"] = fit.kmeans.inertia
         extra["nuisance_architecture"] = {
             "mu": fit.mu.meta()["spec"],

@@ -1,16 +1,22 @@
-"""Evaluation metrics and statistical verification harnesses.
+"""Evaluation metrics, the population oracle and statistical verification harnesses.
 
 Besides the experiment metrics (coverage, width, cross-k stability,
-oracle comparisons for the high-dimensional setting), this module carries
-the closed-form asymptotic variances of the plug-in aggregates and Monte
-Carlo harnesses that verify them, plus the bias-variance decomposition
-check for estimated upper bounds.
+oracle comparisons for the high-dimensional setting), this module is the
+one home of the population oracle: the synthetic generators' exact
+nuisances by trapezoid quadrature (one U-moment kernel, ``_u_moments``),
+their per-cell aggregates over interval cells (``cell_nuisances``), the
+bounds they give, and the grid-doubling check every oracle passes
+(``_check_refinement``). It also carries the closed-form asymptotic
+variances of the plug-in aggregates and Monte Carlo harnesses that verify
+them, plus the bias-variance decomposition check for estimated upper
+bounds. ``bounds`` holds only the bound algebra these build on.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -149,20 +155,6 @@ def msd_over_k(pairs_by_k: dict[int, bnd.BoundPair]) -> float:
     return total / count
 
 
-def oracle_bounds_dataset3(x_grid: np.ndarray, rng_range: OutcomeRange, n_u: int = 2001) -> bnd.BoundPair:
-    """Discrete bounds on the latent score with exact enumerated nuisances."""
-    pi, mu1, mu0, _ = bnd.dataset3_level_nuisances(x_grid, n_u=n_u)
-    coarse_pi, coarse_mu1, coarse_mu0, _ = bnd.dataset3_level_nuisances(x_grid, n_u=n_u // 2 + 1)
-    drift = max(
-        float(np.max(np.abs(pi - coarse_pi))),
-        float(np.max(np.abs(mu1 - coarse_mu1))),
-        float(np.max(np.abs(mu0 - coarse_mu0))),
-    )
-    if drift > 1e-4:
-        raise bnd.QuadratureError(f"dataset-3 oracle moved {drift:.2e} on grid doubling")
-    return bnd.discrete_bounds_on_grid(x_grid, pi, mu1, mu0, rng_range)
-
-
 def oracle_comparison(estimated: bnd.BoundPair, oracle: bnd.BoundPair) -> tuple[float, float]:
     """(MSE against the oracle curves, fraction of points where the
     estimated interval contains the oracle interval)."""
@@ -171,6 +163,189 @@ def oracle_comparison(estimated: bnd.BoundPair, oracle: bnd.BoundPair) -> tuple[
     mse = float(np.mean(((estimated.upper - oracle.upper) ** 2 + (estimated.lower - oracle.lower) ** 2) / 2.0))
     contains = (estimated.lower <= oracle.lower) & (oracle.upper <= estimated.upper)
     return mse, float(np.mean(contains))
+
+
+# ------------------------------------------------ population oracle
+
+
+# Query points per block of ``dataset3_level_nuisances``: each (16, n_u)
+# float64 temporary is 256 kB at the n_u = 2,001 that runs use.
+ORACLE_BLOCK_ROWS = 16
+
+
+class QuadratureError(RuntimeError):
+    """Population integrals failed the grid-doubling convergence check."""
+
+
+def _trapezoid_weights(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.linspace(lo, hi, n)
+    w = np.full(n, (hi - lo) / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return grid, w
+
+
+def _check_refinement(what: str, fine, coarse, scale: float = 1.0) -> None:
+    """Raise QuadratureError when an array of ``fine`` moved by more than
+    1e-4 of ``scale`` from its ``coarse`` twin, computed on halved grids."""
+    drift = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
+    if drift / scale > 1e-4:
+        raise QuadratureError(f"{what} moved {drift / scale:.2e} on grid doubling")
+
+
+def _u_moments(pi_u: np.ndarray, u: np.ndarray, w: np.ndarray, x, tau):
+    """(pi, mu1, mu0) from the propensity on the confounder grid.
+
+    ``pi_u[..., j]`` is P(A=1 | x, ., u_j), ``w`` the trapezoid weights of
+    U ~ Uniform[-1, 1] on ``u``; the last axis is reduced. Every generator
+    has mu^a = 0.25 x + 0.125 E[U | x, a, .] + tau(x) a, with the
+    conditional U-moment weighted by ``pi_u`` (a = 1) or ``1 - pi_u``
+    (a = 0); ``pi_u * w`` and ``(1 - pi_u) * w`` are formed once.
+    """
+    treated_w = pi_u * w
+    control_w = (1.0 - pi_u) * w
+    treated_mass = treated_w.sum(axis=-1)
+    mu1, mu0 = (0.25 * x + 0.125 * ((fac_w * u).sum(axis=-1) / mass) + tau * arm
+                for arm, fac_w, mass in ((1, treated_w, treated_mass), (0, control_w, control_w.sum(axis=-1))))
+    return treated_mass / 2.0, mu1, mu0
+
+
+def eta_true_dataset12(dataset: int, z: np.ndarray, n_s: int = 4001) -> np.ndarray:
+    """P(A=1 | Z=z) by marginalizing the confounders.
+
+    Both propensities depend on (x, u) only through a sum with a known
+    trapezoid density, so the 2-D marginal reduces to one integral.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if dataset == 1:
+        s, w = _trapezoid_weights(-1.5, 1.5, n_s)
+        dens = dgp.uniform_sum_density(s, 1.0, 0.5)
+        inner = dgp._sigmoid((2.0 * np.abs(z)[:, None] - dgp.Z_SUPPORT_MAX) + s[None, :])
+        return 0.05 + 0.9 * (inner @ (w * dens))
+    if dataset == 2:
+        s, w = _trapezoid_weights(-2.0, 2.0, n_s)
+        dens = dgp.uniform_sum_density(s, 1.0, 1.0)
+        inner = np.sin(2.5 * z[:, None] + s[None, :])
+        return 0.48 * (inner @ (w * dens)) + 0.48 + 0.04 / (1.0 + np.exp(-3.0 * np.abs(z)))
+    raise ValueError(f"no scalar-instrument law for dataset {dataset}")
+
+
+def true_nuisances_dataset12(dataset: int, x: float, z: np.ndarray, n_u: int = 2001):
+    """(pi(x,z), mu1(x,z), mu0(x,z)) for the scalar-instrument generators,
+    by quadrature over the confounder U (``_u_moments``)."""
+    z = np.asarray(z, dtype=np.float64)
+    u, w = _trapezoid_weights(-1.0, 1.0, n_u)
+    propensity = {1: dgp.propensity_dataset1, 2: dgp.propensity_dataset2}[dataset]
+    return _u_moments(propensity(z[:, None], x, u[None, :]), u, w, x, float(dgp.tau_dataset12(x)))
+
+
+def cell_nuisances(nuisance_fn, eta_fn, edges, x_grid: np.ndarray, n_z: int = 10_001):
+    """Population plug-in aggregates (pi, mu1, mu0), each (nq, k), over the
+    interval cells that ``edges`` cut [-1, 1] into.
+
+    ``nuisance_fn(x, z) -> (pi, mu1, mu0)`` and ``eta_fn(z)`` are fixed
+    functions of a scalar instrument; treatments are taken as drawn from
+    ``eta_fn``, so the estimator's eta factor matches the true arm
+    probability. Per cell, a trapezoid rule over the instrument density:
+
+        pi_l  = int pi dens / int dens
+        mu1_l = int mu1 eta dens / int eta dens
+        mu0_l = int mu0 (1 - eta) dens / int (1 - eta) dens
+    """
+    cuts = [-1.0] + sorted(float(e) for e in edges) + [1.0]
+    shape = (len(x_grid), len(cuts) - 1)
+    pi, mu1, mu0 = np.empty(shape), np.empty(shape), np.empty(shape)
+    for cell, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        zg, zw = _trapezoid_weights(lo, hi, n_z)
+        dens = dgp.z_mixture_density(zg) * zw
+        eta1 = eta_fn(zg)
+        for i, x in enumerate(x_grid):
+            pi_x, mu1_x, mu0_x = nuisance_fn(float(x), zg)
+            pi[i, cell] = np.sum(pi_x * dens) / np.sum(dens)
+            mu1[i, cell] = np.sum(mu1_x * eta1 * dens) / np.sum(eta1 * dens)
+            mu0[i, cell] = np.sum(mu0_x * (1.0 - eta1) * dens) / np.sum((1.0 - eta1) * dens)
+    return pi, mu1, mu0
+
+
+def population_bounds_oracle(dataset: int, edges, rng: OutcomeRange, x_grid: np.ndarray,
+                             n_z: int = 2001, n_u: int = 1001, n_s: int = 2001) -> bnd.BoundPair:
+    """Bounds from exact DGP nuisances for a fixed hard interval partition.
+
+    Datasets 1-2 only (scalar instrument); dataset 3 goes through
+    ``dataset3_level_nuisances``. Errors if halving every quadrature grid
+    moves any bound by more than 1e-4 of the outcome range.
+    """
+    x_grid = np.asarray(x_grid, dtype=np.float64)
+
+    def bounds_at(nz: int, nu: int, ns: int) -> bnd.BoundPair:
+        nuisances = cell_nuisances(partial(true_nuisances_dataset12, dataset, n_u=nu),
+                                   partial(eta_true_dataset12, dataset, n_s=ns), edges, x_grid, nz)
+        return bnd.discrete_bounds_on_grid(x_grid, *nuisances, rng)
+
+    fine = bounds_at(n_z, n_u, n_s)
+    coarse = bounds_at(n_z // 2 + 1, n_u // 2 + 1, n_s // 2 + 1)
+    _check_refinement("population bounds (relative to the outcome range)", (fine.lower, fine.upper),
+                      (coarse.lower, coarse.upper), scale=max(rng.width, 1e-12))
+    return fine
+
+
+def dataset3_level_nuisances(x_grid: np.ndarray, n_u: int = 10_001, levels: np.ndarray | None = None):
+    """Exact (pi, mu1, mu0) at each latent-score level of dataset 3.
+
+    Returns arrays of shape (nq, L) plus the level values used. ``levels``
+    defaults to the six realizable scores 0..5; passing repeated values
+    (e.g. one per first-five-bit pattern) must leave bounds unchanged.
+
+    Each level is integrated over blocks of ``ORACLE_BLOCK_ROWS`` query
+    points at once, as (rows, n_u) arrays reduced along the u axis by
+    ``_u_moments``. Every entry goes through the same operations in the
+    same order as a one-x-at-a-time 1-D trapezoid sum, so the result is
+    bitwise the same; the block only keeps the temporaries small enough to
+    stay in cache.
+    """
+    x_grid = np.asarray(x_grid, dtype=np.float64)
+    if levels is None:
+        levels = np.arange(6)
+    levels = np.asarray(levels)
+    u, w = _trapezoid_weights(-1.0, 1.0, n_u)
+    shape = (len(x_grid), len(levels))
+    pi, mu1, mu0 = np.empty(shape), np.empty(shape), np.empty(shape)
+    tau = dgp.tau_dataset3(x_grid)
+    for j, r in enumerate(levels):
+        for lo in range(0, len(x_grid), ORACLE_BLOCK_ROWS):
+            rows = slice(lo, lo + ORACLE_BLOCK_ROWS)
+            pi_u = dgp.propensity_dataset3(float(r), x_grid[rows, None], u)
+            pi[rows, j], mu1[rows, j], mu0[rows, j] = _u_moments(pi_u, u, w, x_grid[rows], tau[rows])
+    return pi, mu1, mu0, levels
+
+
+def oracle_bounds_dataset3(x_grid: np.ndarray, rng_range: OutcomeRange, n_u: int = 2001) -> bnd.BoundPair:
+    """Discrete bounds on the latent score with exact enumerated nuisances.
+
+    Errors if halving the U grid moves any nuisance by more than 1e-4.
+    """
+    fine = dataset3_level_nuisances(x_grid, n_u=n_u)[:3]
+    _check_refinement("dataset-3 oracle", fine, dataset3_level_nuisances(x_grid, n_u=n_u // 2 + 1)[:3])
+    return bnd.discrete_bounds_on_grid(x_grid, *fine, rng_range)
+
+
+def synthetic_eta(z: np.ndarray) -> np.ndarray:
+    """Arm probability of the fixed synthetic nuisances; treatments are drawn from it."""
+    return 1.0 / (1.0 + np.exp(-1.2 * z))
+
+
+def synthetic_nuisances(x: float, z: np.ndarray):
+    """Fixed (pi, mu1, mu0) of the plug-in checks, one outcome function for both arms."""
+    mu = 0.3 + 0.2 * x + 0.1 * np.sin(3.0 * z)
+    return 0.5 + 0.3 * np.tanh(z) + 0.1 * x, mu, mu
+
+
+def synthetic_plugin_aggregates(x: float, z: np.ndarray, a: np.ndarray) -> bnd.RepresentationNuisance:
+    """Plug-in aggregates of the synthetic nuisances at ``x`` over the two
+    cells split at z = 0; ``cell_nuisances`` gives their population values."""
+    pi_z, mu_z, _ = synthetic_nuisances(x, z)
+    return bnd.aggregate_cells(np.array([x]), mu_z[None, :], mu_z[None, :], pi_z[None, :], synthetic_eta(z), a,
+                               bnd.one_hot((z >= 0).astype(int), 2))
 
 
 # ------------------------------------------------ asymptotic variances
@@ -350,37 +525,21 @@ def decomposition_check(x: float, n: int, replicates: int, seed: int,
                         rng_range: OutcomeRange = OutcomeRange(-0.5, 1.0)) -> DecompositionReport:
     """Replicate the upper-bound estimator on dataset-1 draws.
 
-    Fixed two-cell partition (z < 0 vs z >= 0) and fixed synthetic
-    nuisances; the population reference comes from the quadrature
-    aggregates. Verifies MSE = bias^2 + variance and, when a proxy for the
+    Fixed two-cell partition (z < 0 vs z >= 0) and the fixed synthetic
+    nuisances; the population reference comes from ``cell_nuisances``. Verifies MSE = bias^2 + variance and, when a proxy for the
     unconstrained optimal bound is supplied, the factor-2 inequality
     E[(b* - bhat)^2] <= 2 ((b* - b_pop)^2 + bias^2 + variance).
     """
 
-    def mu_fn(xq, z):
-        return 0.3 + 0.2 * xq + 0.1 * np.sin(3.0 * z)
-
-    def eta_fn(z):
-        return 1.0 / (1.0 + np.exp(-1.2 * z))
-
-    def pi_fn(xq, z):
-        return 0.5 + 0.3 * np.tanh(z) + 0.1 * xq
-
-    cells = [(-1.0, 0.0), (0.0, 1.0)]
-    pi_pop = np.array([bnd.population_aggregate_pi(pi_fn, lo, hi, x) for lo, hi in cells])
-    mu1_pop = np.array([bnd.population_aggregate_mu(mu_fn, eta_fn, lo, hi, x, 1) for lo, hi in cells])
-    mu0_pop = np.array([bnd.population_aggregate_mu(mu_fn, eta_fn, lo, hi, x, 0) for lo, hi in cells])
-    b_pop = bnd.discrete_bounds_on_grid(np.array([x]), pi_pop[None, :], mu1_pop[None, :], mu0_pop[None, :],
-                                        rng_range).upper[0]
+    pop = cell_nuisances(synthetic_nuisances, synthetic_eta, [0.0], np.array([x]))
+    b_pop = bnd.discrete_bounds_on_grid(np.array([x]), *pop, rng_range).upper[0]
 
     rng = stream_rng(seed, "decomposition")
     estimates = np.empty(replicates)
     for r in range(replicates):
         z = dgp._mixture_instrument(n, seed * 100_003 + r)
-        a = (rng.random(n) < eta_fn(z)).astype(np.int64)
-        weights = bnd.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
-        m = mu_fn(x, z)[None, :]
-        rep = bnd.aggregate_cells(np.array([x]), m, m, pi_fn(x, z)[None, :], eta_fn(z), a, weights)
+        a = (rng.random(n) < synthetic_eta(z)).astype(np.int64)
+        rep = synthetic_plugin_aggregates(x, z, a)
         empty = ~(rep.valid_l & rep.valid_m)
         if empty.any():
             raise bnd.EmptyCellError(int(np.argmax(empty)))

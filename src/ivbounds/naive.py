@@ -105,12 +105,6 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int, n_restarts: int = 10,
     return best
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(labels), k))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 @dataclass
 class NaiveFit:
     kmeans: KMeansModel
@@ -135,7 +129,7 @@ def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
     def arrays(batch: SampleBatch) -> dict[str, np.ndarray]:
         return {
             "x": batch.x,
-            "z": _one_hot(km.assign(batch.z), k),
+            "z": bnd.one_hot(km.assign(batch.z), k),
             "a": batch.a.astype(np.float64),
             "y": batch.y,
         }
@@ -164,9 +158,3 @@ def naive_bounds(fit: NaiveFit, batch: SampleBatch, rng_range: OutcomeRange) -> 
     masses = np.bincount(fit.kmeans.assign(batch.z), minlength=k) / nq
     return pair, {"cell_masses": masses, "min_cell_mass": float(masses.min())}
 
-
-def naive_bounds_pipeline(split: DatasetSplit, k: int, rng_range: OutcomeRange,
-                          config: TrainConfig) -> tuple[bnd.BoundPair, NaiveFit, dict]:
-    fit = fit_naive(split, k, config)
-    pair, diag = naive_bounds(fit, split.test, rng_range)
-    return pair, fit, diag

@@ -111,12 +111,6 @@ def _selection(valid: np.ndarray) -> np.ndarray:
     return np.eye(k)[:, valid]
 
 
-def _onehot_labels(weights_value: np.ndarray) -> np.ndarray:
-    labels = np.zeros_like(weights_value)
-    labels[np.arange(weights_value.shape[0]), np.argmax(weights_value, axis=1)] = 1.0
-    return labels
-
-
 def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
                          config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
     """Differentiable composite loss for one batch.
@@ -140,7 +134,7 @@ def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: Ou
     l_reg = ad.neg(ad.reduce_sum(ad.log(ad.clip_min(masses, MASS_CLAMP))))
 
     # Stop-gradient labels: the sampled discrete assignment, as a constant.
-    labels = ad.constant(_onehot_labels(weights.value))
+    labels = ad.constant(bnd.one_hot(np.argmax(weights.value, axis=1), net.k))
     l_aux = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(labels, ad.log_softmax(aux_logits)), axis=1)))
 
     # Per-cell arm and sample counts; their values also give the validity masks.
@@ -206,15 +200,16 @@ def composite_losses(weights: np.ndarray, aux_logits: np.ndarray, const: BatchCo
     return CompositeLossBreakdown(l_b=l_b, l_reg=l_reg, l_aux=l_aux, lam=lam, gamma=gamma), info
 
 
-def hard_assignment(net: PartitionNet, z: np.ndarray) -> bnd.PartitionAssignment:
-    return bnd.PartitionAssignment.from_labels(net.assign_hard(z), net.k)
+def hard_assignment(net: PartitionNet, z: np.ndarray) -> np.ndarray:
+    """One-hot (n, k) cell weights of the noise-free argmax assignment."""
+    return bnd.one_hot(net.assign_hard(z), net.k)
 
 
 def validation_loss(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
                     config: TrainConfig) -> tuple[float, CompositeLossBreakdown, dict]:
     """Composite loss with deterministic hard assignments (no noise)."""
     logits, aux = net.forward(const.z)
-    weights = _onehot_labels(logits)
+    weights = bnd.one_hot(np.argmax(logits, axis=1), net.k)
     breakdown, info = composite_losses(weights, aux, const, rng_range, config.lam, config.gamma)
     return breakdown.total, breakdown, info
 
@@ -240,8 +235,7 @@ def _fresh_partition_net(split: DatasetSplit, config: TrainConfig, tag: str) -> 
 def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
                           config: TrainConfig, tag: str, epochs: int = 25) -> None:
     """Pre-train the assignment logits toward candidate cell labels."""
-    onehot = np.zeros((len(labels), net.k))
-    onehot[np.arange(len(labels)), labels] = 1.0
+    onehot = bnd.one_hot(labels, net.k)
     state = nets.AdamState.for_params(net.params)
     rng = stream_rng(config.seed, f"partition-warm-{tag}")
     for _ in range(epochs):
@@ -398,12 +392,13 @@ def evaluate_bounds(net: PartitionNet, nuisances: NuisanceSet, split: DatasetSpl
     parts = (split.train, split.val, split.test)
     agg_z = np.concatenate([b.z for b in parts])
     agg_a = np.concatenate([b.a for b in parts])
-    assignment = hard_assignment(net, agg_z)
-    rep = bnd.representation_from_estimates(nuisances, assignment, agg_z, agg_a, split.test.x)
+    weights = hard_assignment(net, agg_z)
+    rep = bnd.representation_from_estimates(nuisances, weights, agg_z, agg_a, split.test.x)
     pair = bnd.bounds_on_grid(rep, rng_range)
+    masses = weights.mean(axis=0)
     diag = {
-        "cell_masses": assignment.cell_masses,
-        "min_cell_mass": float(assignment.cell_masses.min()),
+        "cell_masses": masses,
+        "min_cell_mass": float(masses.min()),
         "valid_l": rep.valid_l,
         "valid_m": rep.valid_m,
     }

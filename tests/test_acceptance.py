@@ -192,20 +192,19 @@ def _synthetic_fns():
 def test_criterion_7_estimator_consistency():
     mu_fn, eta_fn, pi_fn = _synthetic_fns()
     x = 0.3
-    cells = [(-1.0, 0.0), (0.0, 1.0)]
-    mu_pop = [bounds.population_aggregate_mu(mu_fn, eta_fn, lo, hi, x, 1) for lo, hi in cells]
-    pi_pop = [bounds.population_aggregate_pi(pi_fn, lo, hi, x) for lo, hi in cells]
+    pi_pop, mu_pop, _ = metrics.cell_nuisances(lambda xq, z: (pi_fn(xq, z), mu_fn(xq, z), mu_fn(xq, z)), eta_fn,
+                                               [0.0], np.array([x]))
     deviations = []
     for n in (1_000, 10_000, 100_000):
         z = data._mixture_instrument(n, 5)
         a = (stream_rng(5, "treat").random(n) < eta_fn(z)).astype(int)
-        weights = bounds.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
+        weights = bounds.one_hot((z >= 0).astype(int), 2)
         m = mu_fn(x, z)[None, :]
         rep = bounds.aggregate_cells(np.array([x]), m, m, pi_fn(x, z)[None, :], eta_fn(z), a, weights)
         mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
         dev = max(
-            max(abs(mu_vals[c] - mu_pop[c]) for c in range(2)),
-            max(abs(pi_vals[c] - pi_pop[c]) for c in range(2)),
+            max(abs(mu_vals[c] - mu_pop[0, c]) for c in range(2)),
+            max(abs(pi_vals[c] - pi_pop[0, c]) for c in range(2)),
         )
         deviations.append(dev)
     monotone = deviations[0] >= deviations[1] >= deviations[2]

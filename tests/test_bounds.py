@@ -3,21 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ivbounds import bounds, data
+from ivbounds import bounds, data, metrics
 from ivbounds.data import OutcomeRange
 from ivbounds.rng import stream_rng
 
 UNIT = OutcomeRange(0.0, 1.0)
 
 
-def test_partition_assignment_validation():
-    with pytest.raises(ValueError):
-        bounds.PartitionAssignment(np.array([[0.5, 0.4]]), "soft")  # rows must sum to 1
-    with pytest.raises(ValueError):
-        bounds.PartitionAssignment(np.array([[0.5, 0.5]]), "hard")  # hard must be one-hot
-    pa = bounds.PartitionAssignment.from_labels(np.array([0, 1, 1, 0]), k=3)
-    np.testing.assert_allclose(pa.cell_masses, [0.5, 0.5, 0.0])
-    assert pa.cell_masses.sum() == pytest.approx(1.0)
+def test_one_hot_rows_and_masses():
+    weights = bounds.one_hot(np.array([0, 1, 1, 0]), k=3)
+    np.testing.assert_array_equal(weights, [[1, 0, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0]])
+    assert weights.dtype == np.float64
+    np.testing.assert_allclose(weights.mean(axis=0), [0.5, 0.5, 0.0])
+    assert weights.mean(axis=0).sum() == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------ aggregates
@@ -34,7 +32,7 @@ def test_aggregate_constant_nuisances_recover_constant():
     n = 100_000
     z = rng.normal(size=n)
     a = (rng.random(n) < p).astype(int)
-    weights = bounds.PartitionAssignment.from_labels((z > 0).astype(int), 2).weights
+    weights = bounds.one_hot((z > 0).astype(int), 2)
     rep = _at_one_point(np.full(n, c), np.full(n, 0.5), np.full(n, p), a, weights)
     assert rep.valid_l.all()
     assert np.all(np.abs(rep.mu1[0] - c) < 0.02)
@@ -87,7 +85,7 @@ def test_aggregate_cells_hard_weights_match_brute_force(case, seed):
     rng = np.random.default_rng(seed)
     m1, m0, p = rng.normal(size=(nq, n)), rng.normal(size=(nq, n)), rng.random((nq, n))
     eta = rng.random(n)
-    weights = bounds.PartitionAssignment.from_labels(labels, k).weights
+    weights = bounds.one_hot(labels, k)
     rep = bounds.aggregate_cells(np.linspace(-1, 1, nq), m1, m0, p, eta, a, weights)
     for cell in range(k):
         members = labels == cell
@@ -105,7 +103,7 @@ def test_aggregate_cells_hard_weights_match_brute_force(case, seed):
 
 def test_pi_aggregate_constant_is_exact():
     rng = stream_rng(2, "agg")
-    weights = bounds.PartitionAssignment.from_labels(rng.integers(0, 3, 200), 3).weights
+    weights = bounds.one_hot(rng.integers(0, 3, 200), 3)
     rep = _at_one_point(np.zeros(200), np.full(200, 0.42), np.full(200, 0.5), np.arange(200) % 2, weights)
     np.testing.assert_allclose(rep.pi[0][rep.valid_l | rep.valid_m], 0.42, atol=1e-12)
 
@@ -113,7 +111,7 @@ def test_pi_aggregate_constant_is_exact():
 def test_pi_aggregate_separable_split():
     z = np.linspace(-1, 1, 400)
     pi_at_x = (z > 0).astype(np.float64)
-    weights = bounds.PartitionAssignment.from_labels((z > 0).astype(int), 2).weights
+    weights = bounds.one_hot((z > 0).astype(int), 2)
     rep = _at_one_point(np.zeros(400), pi_at_x, np.full(400, 0.5), np.arange(400) % 2, weights)
     assert (rep.valid_l & rep.valid_m).all()
     np.testing.assert_array_equal(rep.pi[0], [0.0, 1.0])
@@ -131,6 +129,10 @@ def _synthetic_pi(x, z):
     return 0.5 + 0.3 * np.tanh(z) + 0.1 * x
 
 
+def _synthetic_nuisances(x, z):
+    return _synthetic_pi(x, z), _synthetic_mu(x, z), _synthetic_mu(x, z)
+
+
 def test_plugin_aggregates_match_quadrature_oracle():
     # Fixed synthetic nuisances, dataset-1 instrument law, hard split at 0,
     # treatments sampled from the same eta so the population weight matches.
@@ -138,16 +140,15 @@ def test_plugin_aggregates_match_quadrature_oracle():
     x = 0.3
     z = data._mixture_instrument(n, 5)
     a = (stream_rng(5, "treat").random(n) < _synthetic_eta(z)).astype(int)
-    weights = bounds.PartitionAssignment.from_labels((z >= 0).astype(int), 2).weights
+    weights = bounds.one_hot((z >= 0).astype(int), 2)
 
     m = _synthetic_mu(x, z)[None, :]
     rep = bounds.aggregate_cells(np.array([x]), m, m, _synthetic_pi(x, z)[None, :], _synthetic_eta(z), a, weights)
     mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
-    for cell, (lo, hi) in enumerate([(-1.0, 0.0), (0.0, 1.0)]):
-        mu_pop = bounds.population_aggregate_mu(_synthetic_mu, _synthetic_eta, lo, hi, x, arm=1)
-        pi_pop = bounds.population_aggregate_pi(_synthetic_pi, lo, hi, x)
-        assert abs(mu_vals[cell] - mu_pop) < 0.02
-        assert abs(pi_vals[cell] - pi_pop) < 0.01
+    pi_pop, mu_pop, _ = metrics.cell_nuisances(_synthetic_nuisances, _synthetic_eta, [0.0], np.array([x]))
+    for cell in range(2):
+        assert abs(mu_vals[cell] - mu_pop[0, cell]) < 0.02
+        assert abs(pi_vals[cell] - pi_pop[0, cell]) < 0.01
 
 
 # ------------------------------------------------------------ bound algebra
@@ -338,7 +339,7 @@ def d1_range():
 
 def test_population_oracle_dataset1_contains_cate(d1_range):
     x_grid = np.linspace(-1, 1, 21)
-    pair = bounds.population_bounds_oracle(1, [0.0], d1_range, x_grid, n_z=801, n_u=401, n_s=801)
+    pair = metrics.population_bounds_oracle(1, [0.0], d1_range, x_grid, n_z=801, n_u=401, n_s=801)
     tau = data.tau_dataset12(x_grid)
     assert np.all(pair.lower <= tau)
     assert np.all(tau <= pair.upper)
@@ -346,23 +347,23 @@ def test_population_oracle_dataset1_contains_cate(d1_range):
 
 def test_population_oracle_single_cell_width(d1_range):
     x_grid = np.linspace(-1, 1, 5)
-    pair = bounds.population_bounds_oracle(1, [], d1_range, x_grid, n_z=401, n_u=201, n_s=401)
+    pair = metrics.population_bounds_oracle(1, [], d1_range, x_grid, n_z=401, n_u=201, n_s=401)
     np.testing.assert_allclose(pair.width, d1_range.width, atol=1e-9)
 
 
 def test_population_oracle_flags_nonconvergence(d1_range):
-    with pytest.raises(bounds.QuadratureError):
-        bounds.population_bounds_oracle(1, [0.0], d1_range, np.linspace(-1, 1, 3), n_z=7, n_u=5, n_s=7)
+    with pytest.raises(metrics.QuadratureError):
+        metrics.population_bounds_oracle(1, [0.0], d1_range, np.linspace(-1, 1, 3), n_z=7, n_u=5, n_s=7)
 
 
 def test_dataset3_pattern_enumeration_matches_level_bounds(d1_range):
     x_grid = np.linspace(-1, 1, 11)
-    pi6, mu16, mu06, _ = bounds.dataset3_level_nuisances(x_grid, n_u=2001)
+    pi6, mu16, mu06, _ = metrics.dataset3_level_nuisances(x_grid, n_u=2001)
     level_pair = bounds.discrete_bounds_on_grid(x_grid, pi6, mu16, mu06, d1_range)
     # One level per first-five-bit pattern; nuisances depend on the pattern
     # only through its popcount, so bounds must agree exactly.
     patterns = np.array([bin(p).count("1") for p in range(32)])
-    pi32, mu132, mu032, _ = bounds.dataset3_level_nuisances(x_grid, n_u=2001, levels=patterns)
+    pi32, mu132, mu032, _ = metrics.dataset3_level_nuisances(x_grid, n_u=2001, levels=patterns)
     pattern_pair = bounds.discrete_bounds_on_grid(x_grid, pi32, mu132, mu032, d1_range)
     np.testing.assert_allclose(pattern_pair.lower, level_pair.lower, atol=1e-12)
     np.testing.assert_allclose(pattern_pair.upper, level_pair.upper, atol=1e-12)
@@ -370,7 +371,7 @@ def test_dataset3_pattern_enumeration_matches_level_bounds(d1_range):
 
 def _level_nuisances_per_x(x_grid, n_u, levels):
     """Reference: the one-x-at-a-time loop that dataset3_level_nuisances replaced."""
-    u, w = bounds._trapezoid_weights(-1.0, 1.0, n_u)
+    u, w = metrics._trapezoid_weights(-1.0, 1.0, n_u)
     pi = np.empty((len(x_grid), len(levels)))
     mu1 = np.empty_like(pi)
     mu0 = np.empty_like(pi)
@@ -393,7 +394,7 @@ def test_dataset3_level_nuisances_are_bitwise_the_per_x_loop(n_u):
     patterns = np.array([bin(p).count("1") for p in range(32)])
     for levels in (np.arange(6), patterns):
         explicit = None if len(levels) == 6 else levels
-        *got, used = bounds.dataset3_level_nuisances(x_grid, n_u=n_u, levels=explicit)
+        *got, used = metrics.dataset3_level_nuisances(x_grid, n_u=n_u, levels=explicit)
         np.testing.assert_array_equal(used, levels)
         for g, w in zip(got, _level_nuisances_per_x(x_grid, n_u, levels)):
             assert np.array_equal(g, w)

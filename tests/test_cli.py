@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from ivbounds import cli, data
+from ivbounds import checks, cli, data
 from ivbounds.bounds import BoundPair
+from ivbounds.nets import TrainConfig
 
 
 def run_cli(*argv) -> int:
@@ -162,6 +164,54 @@ def test_config_file_supplies_train_overrides(tmp_path):
                    "--n", "300", "--out", str(out), "--config", str(cfg)) == 0
     manifest = json.loads((out / "d1_naive_k1_seed0" / "manifest.json").read_text())
     assert manifest["config"]["train"]["max_epochs"] == 3
+
+
+def test_train_flags_reach_the_run_config(tmp_path):
+    # Every TrainConfig field but the run arguments k and seed has a flag.
+    assert set(cli._TRAIN_FLAGS) == {f.name for f in fields(TrainConfig)} - {"k", "seed"}
+    values = {"learning_rate": 0.01, "max_epochs": 2, "patience": 1, "batch_size": 64,
+              "lam": 0.5, "gamma": 0.25, "temperature": 0.5, "restarts": 1}
+    assert set(values) == set(cli._TRAIN_FLAGS)
+    flags = [arg for name, value in values.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
+    out = tmp_path / "run"
+    assert run_cli("run", "--dataset", "1", "--method", "naive", "--k", "1", "--seed", "0",
+                   "--n", "300", "--out", str(out), *flags) == 0
+    manifest = json.loads((out / "d1_naive_k1_seed0" / "manifest.json").read_text())
+    assert manifest["config"]["train"] == asdict(TrainConfig(seed=0, k=1, **values))
+
+
+def test_checks_fast_mode_is_the_cheap_subset_of_one_list(monkeypatch):
+    calls = []
+
+    def stub(name):
+        def check(**kwargs):
+            calls.append((name, kwargs))
+            return [checks.CheckResult(name, True, "")]
+        return check
+
+    for name in ("gradient_checks", "bound_identity_checks", "quadrature_agreement_check", "variance_checks",
+                 "decomposition_checks", "oracle_validity_checks", "population_oracle_checks"):
+        monkeypatch.setattr(checks, name, stub(name))
+    monkeypatch.setattr(checks, "composite_loss_gradient_check", lambda: stub("composite")()[0])
+    full = [r.name for r in checks.run_all_checks()]
+    assert full == ["gradient_checks", "composite", "bound_identity_checks", "quadrature_agreement_check",
+                    "variance_checks", "decomposition_checks", "oracle_validity_checks",
+                    "population_oracle_checks"]
+    calls.clear()
+    fast = [r.name for r in checks.run_all_checks(fast=True)]
+    assert fast == ["gradient_checks", "bound_identity_checks", "quadrature_agreement_check", "variance_checks",
+                    "decomposition_checks"]
+    assert dict(calls) == {"gradient_checks": {}, "bound_identity_checks": {},
+                           "quadrature_agreement_check": {"n": 20_000}, "variance_checks": {"replicates": 2_000},
+                           "decomposition_checks": {"replicates": 400}}
+
+
+def test_gradient_checks_count_only_checks_that_can_fail():
+    results = checks.gradient_checks()
+    names = [r.name for r in results]
+    assert names == [f"gradient {op}" for op in sorted(checks.GRADIENT_CASES)] + [
+        "gradient straight_through", "gradient coverage"]
+    assert results[-1].passed and results[-1].detail == "all op kinds checked"
 
 
 def test_checks_fast_exit_code():

@@ -97,10 +97,75 @@ def test_oracle_dataset3_single_level_coarsening(d3_oracle):
     _, x_grid, rng_range = d3_oracle
     # Coarsening the latent score to one level: k = 1 width identity.
     probs = data.rho_level_probs()
-    pi, mu1, mu0, _ = bounds.dataset3_level_nuisances(x_grid, n_u=2001)
+    pi, mu1, mu0, _ = metrics.dataset3_level_nuisances(x_grid, n_u=2001)
     marginal_pi = (pi * probs[None, :]).sum(axis=1, keepdims=True)
     pair = bounds.discrete_bounds_on_grid(x_grid, marginal_pi, mu1[:, :1], mu0[:, :1], rng_range)
     np.testing.assert_allclose(pair.width, rng_range.width, atol=1e-12)
+
+
+# ------------------------------------------------ merged oracle arithmetic
+
+
+def _aggregate_mu_per_cell(mu_fn, eta_fn, z_lo, z_hi, x, arm, n_z=10_001):
+    """Reference: the one-cell, one-arm outcome aggregate that cell_nuisances replaced."""
+    zg, zw = metrics._trapezoid_weights(z_lo, z_hi, n_z)
+    dens = data.z_mixture_density(zg) * zw
+    eta_a = eta_fn(zg) if arm == 1 else 1.0 - eta_fn(zg)
+    return float(np.sum(mu_fn(x, zg) * eta_a * dens) / np.sum(eta_a * dens))
+
+
+def _aggregate_pi_per_cell(pi_fn, z_lo, z_hi, x, n_z=10_001):
+    """Reference: the one-cell propensity aggregate that cell_nuisances replaced."""
+    zg, zw = metrics._trapezoid_weights(z_lo, z_hi, n_z)
+    dens = data.z_mixture_density(zg) * zw
+    return float(np.sum(pi_fn(x, zg) * dens) / np.sum(dens))
+
+
+def test_cell_nuisances_are_bitwise_the_per_cell_aggregates():
+    def pi_fn(x, z):
+        return 0.5 + 0.3 * np.tanh(z) + 0.1 * x
+
+    def mu1_fn(x, z):
+        return 0.3 + 0.2 * x + 0.1 * np.sin(3.0 * z)
+
+    def mu0_fn(x, z):
+        return -0.1 + 0.4 * x - 0.2 * np.cos(2.0 * z)
+
+    eta_fn = metrics.synthetic_eta
+    x_grid = np.array([-0.7, 0.2, 0.3])
+    pi, mu1, mu0 = metrics.cell_nuisances(lambda x, z: (pi_fn(x, z), mu1_fn(x, z), mu0_fn(x, z)), eta_fn,
+                                          [0.0], x_grid)
+    assert pi.shape == mu1.shape == mu0.shape == (3, 2)
+    for i, x in enumerate(x_grid):
+        for cell, (lo, hi) in enumerate([(-1.0, 0.0), (0.0, 1.0)]):
+            assert pi[i, cell] == _aggregate_pi_per_cell(pi_fn, lo, hi, float(x))
+            assert mu1[i, cell] == _aggregate_mu_per_cell(mu1_fn, eta_fn, lo, hi, float(x), 1)
+            assert mu0[i, cell] == _aggregate_mu_per_cell(mu0_fn, eta_fn, lo, hi, float(x), 0)
+
+
+def _true_nuisances_matrix_vector(dataset, x, z, n_u):
+    """Reference: true_nuisances_dataset12 before it shared _u_moments, with
+    its U-moments as matrix-vector products."""
+    u, w = metrics._trapezoid_weights(-1.0, 1.0, n_u)
+    propensity = {1: data.propensity_dataset1, 2: data.propensity_dataset2}[dataset]
+    pi_zu = propensity(z[:, None], x, u[None, :])
+    tau = float(data.tau_dataset12(x))
+    mus = []
+    for arm in (1, 0):
+        fac = pi_zu if arm == 1 else 1.0 - pi_zu
+        eu = (fac @ (w * u)) / (fac @ w)
+        mus.append(0.25 * x + 0.125 * eu + tau * arm)
+    return (pi_zu @ w) / 2.0, mus[0], mus[1]
+
+
+@pytest.mark.parametrize("dataset", [1, 2])
+def test_true_nuisances_dataset12_match_the_matrix_vector_form(dataset):
+    # Summing along u instead of a BLAS dot moves the last bits only.
+    z = np.linspace(-1.0, 1.0, 201)
+    for x in (-0.95, -0.3, 0.0, 0.45, 1.0):
+        got = metrics.true_nuisances_dataset12(dataset, x, z, n_u=2001)
+        for g, want in zip(got, _true_nuisances_matrix_vector(dataset, x, z, 2001)):
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=0)
 
 
 def test_oracle_comparison_identical():

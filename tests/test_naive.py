@@ -59,6 +59,13 @@ def test_kmeans_assignment_deterministic_tie_break():
     np.testing.assert_array_equal(labels, [0, 0])
 
 
+def _naive_bounds(split, k, rng_range, config):
+    """Fit the naive baseline and bound it on the test split, as a naive run does."""
+    fit = naive.fit_naive(split, k, config)
+    pair, diag = naive.naive_bounds(fit, split.test, rng_range)
+    return pair, fit, diag
+
+
 @pytest.fixture(scope="module")
 def d1_split():
     return data.split_dataset(data.generate_dataset1(2000, 0), 0)
@@ -67,7 +74,7 @@ def d1_split():
 def test_naive_k1_width_is_outcome_range(d1_split):
     rng_range = data.outcome_range_from_train(d1_split.train)
     config = TrainConfig(seed=0, max_epochs=5, batch_size=64, k=1)
-    pair, fit, _ = naive.naive_bounds_pipeline(d1_split, 1, rng_range, config)
+    pair, fit, _ = _naive_bounds(d1_split, 1, rng_range, config)
     np.testing.assert_allclose(pair.width, rng_range.width, atol=1e-9)
     assert fit.kmeans.k == 1
 
@@ -75,7 +82,7 @@ def test_naive_k1_width_is_outcome_range(d1_split):
 def test_naive_pipeline_dataset1(d1_split):
     rng_range = data.outcome_range_from_train(d1_split.train)
     config = TrainConfig(seed=0, batch_size=32, k=2)
-    pair, fit, diag = naive.naive_bounds_pipeline(d1_split, 2, rng_range, config)
+    pair, fit, diag = _naive_bounds(d1_split, 2, rng_range, config)
     tau = d1_split.test.tau_true
     coverage = np.mean((pair.lower <= tau) & (tau <= pair.upper))
     assert coverage >= 0.95
@@ -89,8 +96,8 @@ def test_naive_pipeline_dataset1(d1_split):
 def test_naive_deterministic(d1_split):
     rng_range = data.outcome_range_from_train(d1_split.train)
     config = TrainConfig(seed=3, max_epochs=4, batch_size=64, k=2)
-    p1, f1, _ = naive.naive_bounds_pipeline(d1_split, 2, rng_range, config)
-    p2, f2, _ = naive.naive_bounds_pipeline(d1_split, 2, rng_range, config)
+    p1, f1, _ = _naive_bounds(d1_split, 2, rng_range, config)
+    p2, f2, _ = _naive_bounds(d1_split, 2, rng_range, config)
     np.testing.assert_array_equal(p1.lower, p2.lower)
     np.testing.assert_array_equal(p1.upper, p2.upper)
     for name in f1.mu.params:

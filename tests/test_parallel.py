@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ivbounds import autodiff as ad
-from ivbounds import bounds, data, experiments, nuisance, parallel, partition
+from ivbounds import bounds, data, experiments, metrics, nuisance, parallel, partition
 from ivbounds.nets import EtaNet, TrainConfig, TrainingAbort
 
 WAIT_S = 60.0
@@ -70,7 +70,7 @@ def _square_or_fail(index):
     ad.ShapeMismatchError("dense", (2, 3), (4, 5)),
     bounds.EmptyCellError(3, 1),
     bounds.EmptyCellError(2),
-    bounds.QuadratureError("oracle moved 1e-3 on grid doubling"),
+    metrics.QuadratureError("oracle moved 1e-3 on grid doubling"),
 ], ids=lambda e: type(e).__name__)
 def test_package_exceptions_survive_pickling(error):
     copy = pickle.loads(pickle.dumps(error))

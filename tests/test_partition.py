@@ -48,10 +48,8 @@ def _l_b(net, const, rng_range):
 
 
 def test_loss_reg_uniform_masses():
-    pa = bounds.PartitionAssignment.from_labels(np.array([0, 1] * 10), 2)
-    assert _l_reg(pa.weights) == pytest.approx(2 * np.log(2), abs=1e-12)
-    pa3 = bounds.PartitionAssignment.from_labels(np.array([0, 1, 2] * 10), 3)
-    assert _l_reg(pa3.weights) == pytest.approx(3 * np.log(3), abs=1e-12)
+    assert _l_reg(bounds.one_hot(np.array([0, 1] * 10), 2)) == pytest.approx(2 * np.log(2), abs=1e-12)
+    assert _l_reg(bounds.one_hot(np.array([0, 1, 2] * 10), 3)) == pytest.approx(3 * np.log(3), abs=1e-12)
 
 
 def test_loss_reg_penalizes_imbalance():
@@ -74,9 +72,9 @@ def test_loss_reg_minimum_over_simplex():
 
 
 def test_loss_reg_clamps_empty_cell(caplog):
-    pa = bounds.PartitionAssignment.from_labels(np.zeros(10, dtype=int), 2)
+    weights = bounds.one_hot(np.zeros(10, dtype=int), 2)
     with caplog.at_level("WARNING"):
-        val = _l_reg(pa.weights)
+        val = _l_reg(weights)
     assert val == pytest.approx(-np.log(1.0) - np.log(1e-8))
     assert any("clamped" in rec.message for rec in caplog.records)
 
@@ -87,7 +85,7 @@ def test_loss_aux_perfect_head_and_uniform_head():
 
     def l_aux():
         _, aux = net.forward(z)
-        weights = partition.hard_assignment(net, z).weights
+        weights = partition.hard_assignment(net, z)
         breakdown, _ = partition.composite_losses(weights, aux, _flat_constants(len(z)), UNIT, 0.0, 1.0)
         return breakdown.l_aux
 
@@ -116,8 +114,7 @@ def test_loss_bound_equals_mean_of_bound_engine_widths(small_setup):
     weights = _soft_weights(net, batch.z)
     breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), const, UNIT, 0.0, 0.0)
     # Per-sample widths through the bound-engine path with the same weights.
-    assignment = bounds.PartitionAssignment(weights, "soft")
-    rep = bounds.representation_from_estimates(nuis, assignment, batch.z, batch.a, batch.x)
+    rep = bounds.representation_from_estimates(nuis, weights, batch.z, batch.a, batch.x)
     pair = bounds.bounds_on_grid(rep, UNIT)
     assert breakdown.l_b == pytest.approx(float(np.mean(pair.width)), abs=1e-12)
 
@@ -220,7 +217,7 @@ def test_relabeling_invariance(small_setup):
     rng_range = data.outcome_range_from_train(split.train)
     const = partition.batch_constants(nuis, batch)
     base_b = _l_b(net, const, rng_range)
-    base_reg = _l_reg(partition.hard_assignment(net, batch.z).weights)
+    base_reg = _l_reg(partition.hard_assignment(net, batch.z))
     perm = np.array([1, 0])
     permuted = PartitionNet.from_meta(net.meta(), net.copy_params())
     permuted.params["logits.w"] = net.params["logits.w"][:, perm].copy()
@@ -228,7 +225,7 @@ def test_relabeling_invariance(small_setup):
     permuted.params["aux.w"] = net.params["aux.w"][:, perm].copy()
     permuted.params["aux.b"] = net.params["aux.b"][perm].copy()
     assert _l_b(permuted, const, rng_range) == pytest.approx(base_b, abs=1e-12)
-    assert _l_reg(partition.hard_assignment(permuted, batch.z).weights) == pytest.approx(base_reg, abs=1e-12)
+    assert _l_reg(partition.hard_assignment(permuted, batch.z)) == pytest.approx(base_reg, abs=1e-12)
 
 
 def test_empty_cell_arm_is_dropped_not_fatal(small_setup):
