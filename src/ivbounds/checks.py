@@ -236,15 +236,16 @@ def oracle_validity_checks() -> list[CheckResult]:
 
 
 def population_oracle_checks() -> list[CheckResult]:
-    """Exact-nuisance bounds of datasets 1 and 2, two cells split at z = 0,
-    against the CATE; the outcome range is that of the seed-0 training split."""
+    """Exact-nuisance bounds of datasets 1 and 2 over cells split at z = -0.5
+    and 0.5 (dataset 1 depends on z only through |z|: a split at 0 gives equal
+    cells), against the CATE; the outcome range is the seed-0 training split's."""
     x_grid = np.linspace(-1.0, 1.0, 21)
     tau = dgp.tau_dataset12(x_grid)
     results = []
     for dataset in (1, 2):
         split = dgp.split_dataset(dgp.generate_dataset(dataset, 2000, 0), 0)
         r = dgp.outcome_range_from_train(split.train)
-        pair = metrics.population_bounds_oracle(dataset, [0.0], r, x_grid, n_z=801, n_u=401, n_s=801)
+        pair = metrics.population_bounds_oracle(dataset, [-0.5, 0.5], r, x_grid, n_z=801, n_u=401, n_s=801)
         ok = bool(np.all(pair.lower <= tau) and np.all(tau <= pair.upper))
         results.append(CheckResult(f"dataset-{dataset} population bounds contain the CATE", ok, "21-point grid"))
     return results

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: generate, fit-nuisance, fit-partition, bounds, evaluate,
-run, reproduce, checks. Exit codes: 0 success, 1 check failure, 2 I/O
-error or unusable input, 3 numeric failure.
+run, reproduce, checks. Each of the first five runs one stage of the
+pipeline in ``experiments``; ``run`` runs them all. Exit codes: 0 success,
+1 check failure, 2 I/O error or refused input (one stderr line, nothing
+written: unusable run arguments or data, malformed or wrong-kind
+checkpoints), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from . import autodiff, bounds, checks, data, experiments, metrics, nuisance, partition
-from .nets import TrainConfig, load_checkpoint, save_checkpoint
+from . import InputError, autodiff, bounds, checks, data, experiments, metrics
+from .nets import PartitionNet, TrainConfig, TrainingAbort, load_checkpoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -26,6 +29,7 @@ _TRAIN_FLAGS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name n
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config")
     for name, typ in _TRAIN_FLAGS.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
@@ -62,14 +66,13 @@ def _split_dir(path: Path) -> data.DatasetSplit:
     return data.DatasetSplit(train=train, val=val, test=test, seed=_data_config(path).get("seed", 0))
 
 
+def _seed(args, split: data.DatasetSplit) -> int:
+    return args.seed if args.seed is not None else split.seed
+
+
 def cmd_generate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    batch = data.generate_dataset(args.dataset, args.n, args.seed)
-    split = data.split_dataset(batch, args.seed)
-    data.write_csv(split.train, out / "train.csv")
-    data.write_csv(split.val, out / "val.csv")
-    data.write_csv(split.test, out / "test.csv")
+    experiments.data_stage(args.dataset, args.n, args.seed, out)
     experiments.write_manifest(out, "generate", {"dataset": args.dataset, "n": args.n, "seed": args.seed})
     print(f"wrote {out}/train.csv val.csv test.csv (n={args.n}, dataset {args.dataset}, seed {args.seed})")
     return EXIT_OK
@@ -77,35 +80,20 @@ def cmd_generate(args) -> int:
 
 def cmd_fit_nuisance(args) -> int:
     split = _split_dir(Path(args.data))
-    config = experiments._train_config(args.seed if args.seed is not None else split.seed, args.k, _overrides(args))
-    nuis = nuisance.fit_nuisances(split, config)
+    config = experiments._train_config(_overrides(args), seed=_seed(args, split))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(nuis.mu, out / "mu.ckpt")
-    save_checkpoint(nuis.pi, out / "pi.ckpt")
-    save_checkpoint(nuis.eta, out / "eta.ckpt")
+    experiments.nuisance_stage(split, config, out)
     experiments.write_manifest(out, "fit-nuisance", {"data": str(args.data), "train": asdict(config)})
     print(f"wrote {out}/mu.ckpt pi.ckpt eta.ckpt")
     return EXIT_OK
 
 
-def _load_nuisances(path: Path) -> nuisance.NuisanceSet:
-    return nuisance.NuisanceSet(
-        mu=load_checkpoint(path / "mu.ckpt"),
-        pi=load_checkpoint(path / "pi.ckpt"),
-        eta=load_checkpoint(path / "eta.ckpt"),
-    ).freeze()
-
-
 def cmd_fit_partition(args) -> int:
     split = _split_dir(Path(args.data))
-    nuis = _load_nuisances(Path(args.nuisance))
-    config = experiments._train_config(args.seed if args.seed is not None else split.seed, args.k, _overrides(args))
-    net, rows, stage2 = partition.train_partition(split, nuis, config)
+    config = experiments._train_config(_overrides(args), seed=_seed(args, split), k=args.k)
+    nuis = experiments.load_nuisances(Path(args.nuisance))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(net, out / "partition.ckpt")
-    partition.write_train_log_csv(rows, out / "train_log.csv")
+    stage2 = experiments.partition_stage(split, nuis, config, out)
     experiments.write_manifest(out, "fit-partition", {
         "data": str(args.data), "nuisance": str(args.nuisance), "train": asdict(config),
         "chosen_restart": stage2.restart, "val_total": stage2.val_total,
@@ -115,29 +103,17 @@ def cmd_fit_partition(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.method == "oracle":
-        dataset = _data_config(Path(args.data)).get("dataset")
-        if dataset != 3:
-            found = "no manifest.json" if dataset is None else f"dataset {dataset}"
-            print(f"oracle bounds are defined for dataset 3 only; {args.data} has {found}", file=sys.stderr)
-            return EXIT_IO
-    else:
+    model = None
+    if args.method == "ours":
         missing = [flag for flag, value in (("--nuisance", args.nuisance), ("--partition", args.partition))
                    if value is None]
         if missing:
-            print(f"--method {args.method} needs {' and '.join(missing)}", file=sys.stderr)
-            return EXIT_IO
-    split = _split_dir(Path(args.data))
-    rng_range = data.outcome_range_from_train(split.train)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.method == "oracle":
-        pair = metrics.oracle_bounds_dataset3(split.test.x, rng_range)
-    else:
-        nuis = _load_nuisances(Path(args.nuisance))
-        net = load_checkpoint(Path(args.partition))
-        pair, _ = partition.evaluate_bounds(net, nuis, split, rng_range)
-    pair.to_csv(out / "bounds.csv")
+            raise InputError(f"--method {args.method} needs {' and '.join(missing)}")
+        model = (load_checkpoint(Path(args.partition), PartitionNet.kind),
+                 experiments.load_nuisances(Path(args.nuisance)))
+    data_dir, out = Path(args.data), Path(args.out)
+    pair, _ = experiments.bounds_stage(_data_config(data_dir).get("dataset"), args.method, model,
+                                       _split_dir(data_dir), out)
     experiments.write_manifest(out, "bounds", {
         "data": str(args.data), "method": args.method,
         "nuisance": str(args.nuisance) if args.nuisance else None,
@@ -148,26 +124,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pair = bounds.BoundPair.from_csv(args.bounds)
     split = _split_dir(Path(args.data))
-    report = metrics.MetricsReport(
-        dataset=args.dataset or 0,
-        method=args.method or "unknown",
-        k=args.k or 0,
-        seed=args.seed if args.seed is not None else split.seed,
-        coverage=metrics.coverage(pair, split.test.tau_true),
-        mean_width=metrics.mean_width(pair),
-        crossing_rate=metrics.crossing_rate(pair),
-        min_cell_mass=None,
-        mass_floor_violated=False,
+    report = experiments.report_stage(
+        bounds.BoundPair.from_csv(args.bounds), split.test,
+        bounds.BoundPair.from_csv(args.oracle_bounds) if args.oracle_bounds else None,
+        out=Path(args.out), dataset=args.dataset or 0, method=args.method or "unknown", k=args.k or 0,
+        seed=_seed(args, split),
     )
-    if args.oracle_bounds:
-        oracle = bounds.BoundPair.from_csv(args.oracle_bounds)
-        report.oracle_mse, report.oracle_coverage = metrics.oracle_comparison(pair, oracle)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_json(out / "metrics.json")
-    (out / "metrics.txt").write_text(report.render_text())
     print(report.render_text(), end="")
     return EXIT_OK
 
@@ -194,10 +157,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_checks(args) -> int:
     results = checks.run_all_checks(fast=args.fast)
-    failed = 0
     for result in results:
         print(result.line())
-        failed += 0 if result.passed else 1
+    failed = sum(not result.passed for result in results)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILURE
 
@@ -218,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--config")
     _add_train_flags(p)
     p.set_defaults(func=cmd_fit_nuisance)
 
@@ -229,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config")
     _add_train_flags(p)
     p.set_defaults(func=cmd_fit_partition)
 
@@ -259,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     _add_train_flags(p)
     p.set_defaults(func=cmd_run)
 
@@ -269,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--config")
     _add_train_flags(p)
     p.set_defaults(func=cmd_reproduce)
 
@@ -286,26 +243,16 @@ def main(argv=None) -> int:
     try:
         _load_config_file(args)
         return args.func(args)
+    except InputError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        autodiff.NonFiniteError,
-        metrics.QuadratureError,
-        bounds.EmptyCellError,
-        FloatingPointError,
-        ArithmeticError,
-    ) as exc:
+    except (autodiff.NonFiniteError, metrics.QuadratureError, bounds.EmptyCellError, ArithmeticError,
+            TrainingAbort) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except Exception as exc:  # argparse handles usage; anything else is a bug
-        from .nets import TrainingAbort
-
-        if isinstance(exc, TrainingAbort):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        raise
-
 
 if __name__ == "__main__":
     sys.exit(main())

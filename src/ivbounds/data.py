@@ -23,6 +23,7 @@ from math import comb
 
 import numpy as np
 
+from . import InputError
 from .rng import stream_rng
 
 
@@ -181,7 +182,7 @@ def _mixture_instrument(n: int, seed: int) -> np.ndarray:
 
 def generate_dataset1(n: int, seed: int) -> SampleBatch:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     x, u = _common_confounders(n, seed)
     z = _mixture_instrument(n, seed)
     pi = propensity_dataset1(z, x, u)
@@ -193,7 +194,7 @@ def generate_dataset1(n: int, seed: int) -> SampleBatch:
 
 def generate_dataset2(n: int, seed: int) -> SampleBatch:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     x, u = _common_confounders(n, seed)
     z = _mixture_instrument(n, seed)
     pi = propensity_dataset2(z, x, u)
@@ -205,7 +206,7 @@ def generate_dataset2(n: int, seed: int) -> SampleBatch:
 
 def generate_dataset3(n: int, seed: int, d: int = 20) -> SampleBatch:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     x, u = _common_confounders(n, seed)
     z = (stream_rng(seed, "z").random((n, d)) < 0.5).astype(np.float64)
     rho = z[:, :5].sum(axis=1).astype(np.int64)
@@ -223,14 +224,14 @@ def generate_dataset(dataset: int, n: int, seed: int) -> SampleBatch:
         return generate_dataset2(n, seed)
     if dataset == 3:
         return generate_dataset3(n, seed)
-    raise ValueError(f"unknown dataset id {dataset}")
+    raise InputError(f"unknown dataset id {dataset}")
 
 
 def split_dataset(samples: SampleBatch, seed: int) -> DatasetSplit:
     """Shuffle and partition into 40% train / 20% val / 40% test."""
     n = len(samples)
     if n < 5:
-        raise ValueError("need at least 5 samples to split")
+        raise InputError("need at least 5 samples to split")
     perm = stream_rng(seed, "split").permutation(n)
     n_train = int(round(0.4 * n))
     n_val = int(round(0.2 * n))

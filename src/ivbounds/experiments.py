@@ -1,22 +1,34 @@
-"""End-to-end experiment runner: single runs, seed sweeps, table builds.
+"""The run pipeline as stage functions, and seed sweeps and tables over it.
 
-A run is fully determined by (dataset, method, k, seed, n, training
-config); every artifact directory carries a manifest with the config hash
-and package version. Its byte-reproducible artifacts (``bounds.csv``,
-checkpoints, ``train_log.csv``, ``metrics.json``, ``metrics.txt``) hold no
-wall time; the runtime goes to ``metrics.trace.json`` only.
+Stage 1 fits the nuisances mu, pi and eta; stage 2 learns the partition
+whose cells give the closed-form bounds. Each stage writes its files only
+when given a directory, and creates it only then, so a refused input leaves
+nothing behind. The CLI command in brackets runs a stage alone:
+
+- ``data_stage``: train.csv, val.csv, test.csv (``generate``)
+- ``nuisance_stage``: mu.ckpt, pi.ckpt, eta.ckpt (``fit-nuisance``); read
+  back by ``load_nuisances``
+- ``partition_stage``: partition.ckpt, train_log.csv (``fit-partition``)
+- ``naive_stage``, the baseline's k-means cells and refit nets: mu.ckpt,
+  pi.ckpt, kmeans_centroids.csv (``run --method naive`` only)
+- ``bounds_stage``, ours, naive or oracle: bounds.csv (``bounds``)
+- ``report_stage``: metrics.json, metrics.trace.json, metrics.txt (``evaluate``)
+
+``run_experiment`` (``run``) composes them and adds manifest.json, with the
+config hash and package version. A run is fully determined by (dataset,
+method, k, seed, n, training config), and its artifacts hold no wall time:
+the runtime goes to ``metrics.trace.json`` only.
 
 Processes: ``run_experiment`` runs in the calling process and spreads the
 independent restarts of each fit over the usable CPUs (see ``parallel``).
 ``run_sweep(jobs > 1)`` spreads whole runs over ``min(jobs, len(runs))``
 processes through the same ``parallel.map_tasks``; pools never nest, so the
-restarts inside each of those runs train serially. Every run draws only
-from its own seeded streams, so the artifacts are the same bytes for every
-``jobs`` value and worker count. They are fixed per BLAS thread count, not
-across counts: OpenBLAS sums some matrix products (the bound aggregates
-over all aggregation samples) in another order on 1 and on 2 threads, so a
-bound can move in the last bits when that count changes. The seed-0 golden
-test compares bounds at rtol 1e-12, which absorbs that drift.
+restarts inside those runs train serially. Every run draws only from its own
+seeded streams, so the artifacts are the same bytes for every ``jobs`` value
+and worker count. They are fixed per BLAS thread count, not across counts:
+OpenBLAS sums the bound aggregates over all aggregation samples in another
+order on 1 and on 2 threads, so a bound can move in the last bits when that
+count changes. The seed-0 golden test compares bounds at rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -31,10 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, data, metrics, naive, nuisance, parallel, partition
-from .nets import TrainConfig, save_checkpoint
+from . import InputError, __version__, bounds, data, metrics, naive, nuisance, parallel, partition
+from .nets import TrainConfig, load_checkpoint, save_checkpoint
 
 MASS_FLOOR = 0.01
+NUISANCE_KINDS = {"mu": "two_head_outcome", "pi": "propensity", "eta": "eta"}
 
 TABLE_GRIDS = {
     1: {"datasets": (1, 2), "ks": (2, 3), "methods": ("naive", "ours")},
@@ -47,90 +60,135 @@ def config_hash(payload: dict) -> str:
 
 
 def write_manifest(directory: Path, command: str, payload: dict) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "config": payload,
-        "config_sha256": config_hash(payload),
-    }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest = {"command": command, "package_version": __version__, "config": payload,
+                "config_sha256": config_hash(payload)}
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _train_config(seed: int, k: int, overrides: dict | None) -> TrainConfig:
-    config = TrainConfig(seed=seed, k=k)
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+def _train_config(overrides: dict | None, **run_args) -> TrainConfig:
+    """Training hyperparameters from ``overrides``; the run arguments (seed, k) win."""
+    return TrainConfig(**{**(overrides or {}), **run_args})
+
+
+def _made(out: Path) -> Path:
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _save_nets(out: Path, **nets) -> None:
+    for name, net in nets.items():
+        save_checkpoint(net, _made(out) / f"{name}.ckpt")
+
+
+def data_stage(dataset: int, n: int, seed: int, out: Path | None = None) -> data.DatasetSplit:
+    split = data.split_dataset(data.generate_dataset(dataset, n, seed), seed)
+    if out is not None:
+        for name in ("train", "val", "test"):
+            data.write_csv(getattr(split, name), _made(out) / f"{name}.csv")
+    return split
+
+
+def nuisance_stage(split: data.DatasetSplit, config: TrainConfig, out: Path | None = None) -> nuisance.NuisanceSet:
+    nuis = nuisance.fit_nuisances(split, config)
+    if out is not None:
+        _save_nets(out, mu=nuis.mu, pi=nuis.pi, eta=nuis.eta)
+    return nuis
+
+
+def load_nuisances(path: Path) -> nuisance.NuisanceSet:
+    """The frozen nuisance set of a ``nuisance_stage`` directory; each file must hold its net's kind."""
+    return nuisance.NuisanceSet(**{name: load_checkpoint(path / f"{name}.ckpt", kind)
+                                   for name, kind in NUISANCE_KINDS.items()}).freeze()
+
+
+def partition_stage(split: data.DatasetSplit, nuis: nuisance.NuisanceSet, config: TrainConfig,
+                    out: Path | None = None) -> partition.Stage2Result:
+    net, rows, stage2 = partition.train_partition(split, nuis, config)
+    if out is not None:
+        _save_nets(out, partition=net)
+        partition.write_train_log_csv(rows, out / "train_log.csv")
+    return stage2
+
+
+def naive_stage(split: data.DatasetSplit, config: TrainConfig, out: Path | None = None) -> naive.NaiveFit:
+    fit = naive.fit_naive(split, config.k, config)
+    if out is not None:
+        _save_nets(out, mu=fit.mu, pi=fit.pi)
+        np.savetxt(out / "kmeans_centroids.csv", fit.kmeans.centroids, delimiter=",", fmt="%.17g")
+    return fit
+
+
+def bounds_stage(dataset: int | None, method: str, model, split: data.DatasetSplit,
+                 out: Path | None = None) -> tuple[bounds.BoundPair, dict]:
+    """Bounds and cell diagnostics at the test split's query points. ``model``
+    is (partition net, nuisances) for ours, the ``NaiveFit`` for naive and
+    None for the oracle, which needs dataset 3 (None: dataset unknown)."""
+    rng_range = data.outcome_range_from_train(split.train)
+    if method == "ours":
+        pair, diag = partition.evaluate_bounds(*model, split, rng_range)
+    elif method == "naive":
+        pair, diag = naive.naive_bounds(model, split.test, rng_range)
+    elif method == "oracle":
+        if dataset != 3:
+            found = "no manifest.json" if dataset is None else f"dataset {dataset}"
+            raise InputError(f"oracle bounds are defined for dataset 3 only; the data has {found}")
+        pair = metrics.oracle_bounds_dataset3(split.test.x, rng_range)
+        masses = data.rho_level_probs()
+        diag = {"cell_masses": masses, "min_cell_mass": float(masses.min())}
+    else:
+        raise InputError(f"unknown method {method!r}")
+    if out is not None:
+        pair.to_csv(_made(out) / "bounds.csv")
+    return pair, diag
+
+
+def report_stage(pair: bounds.BoundPair, test: data.SampleBatch, oracle: bounds.BoundPair | None = None,
+                 min_cell_mass: float | None = None, out: Path | None = None, started: float | None = None,
+                 **fields) -> metrics.MetricsReport:
+    """Metrics of ``pair`` on the test split, against ``oracle`` if given; runtime from ``started``."""
+    report = metrics.MetricsReport(
+        coverage=metrics.coverage(pair, test.tau_true),
+        mean_width=metrics.mean_width(pair),
+        crossing_rate=metrics.crossing_rate(pair),
+        min_cell_mass=min_cell_mass,
+        mass_floor_violated=min_cell_mass is not None and min_cell_mass < MASS_FLOOR,
+        **fields,
+    )
+    if oracle is not None:
+        report.oracle_mse, report.oracle_coverage = metrics.oracle_comparison(pair, oracle)
+    if started is not None:
+        report.runtime_seconds = time.perf_counter() - started
+    if out is not None:
+        report.to_json(_made(out) / "metrics.json")
+        (out / "metrics.txt").write_text(replace(report, runtime_seconds=None).render_text())
+    return report
 
 
 def run_experiment(dataset: int, method: str, k: int, seed: int, n: int = 2000,
                    out_dir: Path | str | None = None, overrides: dict | None = None) -> metrics.MetricsReport:
-    """One (dataset, method, k, seed) run; writes artifacts when out_dir given."""
+    """One (dataset, method, k, seed) run through the stages; writes artifacts when out_dir given."""
     start = time.perf_counter()
-    config = _train_config(seed, k, overrides)
-    batch = data.generate_dataset(dataset, n, seed)
-    split = data.split_dataset(batch, seed)
-    rng_range = data.outcome_range_from_train(split.train)
+    config = _train_config(overrides, seed=seed, k=k)
     out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
+    split = data_stage(dataset, n, seed)
+    rng_range = data.outcome_range_from_train(split.train)
     extra: dict = {"outcome_range": [rng_range.s1, rng_range.s2]}
+    model = None
     if method == "ours":
-        nuis = nuisance.fit_nuisances(split, config)
-        net, rows, stage2 = partition.train_partition(split, nuis, config, rng_range)
-        pair, diag = partition.evaluate_bounds(net, nuis, split, rng_range)
+        nuis = nuisance_stage(split, config, out)
+        stage2 = partition_stage(split, nuis, config, out)
+        model = (stage2.net, nuis)
         extra["stage2_restart"] = stage2.restart
         extra["stage2_val_total"] = stage2.val_total
-        if out is not None:
-            partition.write_train_log_csv(rows, out / "train_log.csv")
-            save_checkpoint(nuis.mu, out / "mu.ckpt")
-            save_checkpoint(nuis.pi, out / "pi.ckpt")
-            save_checkpoint(nuis.eta, out / "eta.ckpt")
-            save_checkpoint(net, out / "partition.ckpt")
     elif method == "naive":
-        fit = naive.fit_naive(split, k, config)
-        pair, diag = naive.naive_bounds(fit, split.test, rng_range)
-        extra["kmeans_inertia"] = fit.kmeans.inertia
-        extra["nuisance_architecture"] = {
-            "mu": fit.mu.meta()["spec"],
-            "pi": fit.pi.meta()["spec"],
-        }
-        if out is not None:
-            save_checkpoint(fit.mu, out / "mu.ckpt")
-            save_checkpoint(fit.pi, out / "pi.ckpt")
-            np.savetxt(out / "kmeans_centroids.csv", fit.kmeans.centroids, delimiter=",", fmt="%.17g")
-    elif method == "oracle":
-        if dataset != 3:
-            raise ValueError("oracle bounds are defined for dataset 3 only")
-        pair = metrics.oracle_bounds_dataset3(split.test.x, rng_range)
-        diag = {"cell_masses": data.rho_level_probs(), "min_cell_mass": float(data.rho_level_probs().min())}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    tau = split.test.tau_true
-    report = metrics.MetricsReport(
-        dataset=dataset,
-        method=method,
-        k=k if method != "oracle" else 6,
-        seed=seed,
-        coverage=metrics.coverage(pair, tau),
-        mean_width=metrics.mean_width(pair),
-        crossing_rate=metrics.crossing_rate(pair),
-        min_cell_mass=diag["min_cell_mass"],
-        mass_floor_violated=bool(diag["min_cell_mass"] < MASS_FLOOR),
-        extra=extra,
-    )
-    if dataset == 3 and method in ("ours", "naive"):
-        oracle_pair = metrics.oracle_bounds_dataset3(split.test.x, rng_range)
-        report.oracle_mse, report.oracle_coverage = metrics.oracle_comparison(pair, oracle_pair)
-    report.runtime_seconds = time.perf_counter() - start
+        model = naive_stage(split, config, out)
+        extra["kmeans_inertia"] = model.kmeans.inertia
+        extra["nuisance_architecture"] = {"mu": model.mu.meta()["spec"], "pi": model.pi.meta()["spec"]}
+    pair, diag = bounds_stage(dataset, method, model, split, out)
+    oracle = bounds_stage(dataset, "oracle", None, split)[0] if dataset == 3 and method != "oracle" else None
+    report = report_stage(pair, split.test, oracle, diag["min_cell_mass"], out=out, started=start,
+                          dataset=dataset, method=method, k=k if method != "oracle" else 6, seed=seed, extra=extra)
     if out is not None:
-        pair.to_csv(out / "bounds.csv")
-        report.to_json(out / "metrics.json")
-        (out / "metrics.txt").write_text(replace(report, runtime_seconds=None).render_text())
         write_manifest(out, "run", {
             "dataset": dataset, "method": method, "k": k, "seed": seed, "n": n,
             "train": asdict(config),
@@ -195,50 +253,38 @@ def aggregate_table(reports: list[metrics.MetricsReport], bounds_by_run: dict | 
     return rows
 
 
+def _mean_pm_sd(mean: float | None, sd: float | None) -> str:
+    return f"{mean:.2f} +- {sd:.2f}" if mean is not None and np.isfinite(mean) else "-"
+
+
 def render_table(rows: list[TableRow]) -> str:
-    with_oracle = any(row.oracle_mse_mean is not None for row in rows)
-    header = ["dataset", "method", "k", "coverage", "width", "MSD(k)"]
-    if with_oracle:
-        header += ["coverage (oracle)", "MSE (oracle)"]
-    lines = []
-    for row in rows:
-        cells = [
-            str(row.dataset),
-            row.method,
-            str(row.k),
-            f"{row.coverage_mean:.2f} +- {row.coverage_sd:.2f}",
-            f"{row.width_mean:.2f} +- {row.width_sd:.2f}",
-            f"{row.msd_mean:.2f} +- {row.msd_sd:.2f}" if np.isfinite(row.msd_mean) else "-",
-        ]
-        if with_oracle:
-            if row.oracle_mse_mean is not None:
-                cells += [
-                    f"{row.oracle_coverage_mean:.2f} +- {row.oracle_coverage_sd:.2f}",
-                    f"{row.oracle_mse_mean:.2f} +- {row.oracle_mse_sd:.2f}",
-                ]
-            else:
-                cells += ["-", "-"]
-        lines.append(cells)
+    columns = {"coverage": "coverage", "width": "width", "msd": "MSD(k)"}
+    if any(row.oracle_mse_mean is not None for row in rows):
+        columns.update(oracle_coverage="coverage (oracle)", oracle_mse="MSE (oracle)")
+    header = ["dataset", "method", "k", *columns.values()]
+    lines = [[str(row.dataset), row.method, str(row.k),
+              *(_mean_pm_sd(getattr(row, f"{c}_mean"), getattr(row, f"{c}_sd")) for c in columns)] for row in rows]
     widths = [max(len(header[i]), *(len(line[i]) for line in lines)) for i in range(len(header))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    out = [fmt.format(*header)]
-    out.extend(fmt.format(*line) for line in lines)
-    return "\n".join(out) + "\n"
+    return "\n".join(fmt.format(*line) for line in [header, *lines]) + "\n"
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
 def write_table_csv(rows: list[TableRow], path: Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     cols = [
         "dataset", "method", "k", "coverage_mean", "coverage_sd", "width_mean", "width_sd",
         "msd_mean", "msd_sd", "oracle_coverage_mean", "oracle_coverage_sd",
         "oracle_mse_mean", "oracle_mse_sd",
     ]
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([getattr(row, c) if getattr(row, c) is not None else "" for c in cols])
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(path, cols, ([getattr(row, c) if getattr(row, c) is not None else "" for c in cols] for row in rows))
 
 
 def reproduce_table(table: int, out_dir: Path | str, seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
@@ -246,30 +292,18 @@ def reproduce_table(table: int, out_dir: Path | str, seeds: tuple[int, ...] = (0
     """Regenerate a results table (runs + aggregation); returns the rows."""
     grid = TABLE_GRIDS[table]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runs = []
-    for dataset in grid["datasets"]:
-        for method in grid["methods"]:
-            for k in grid["ks"]:
-                for seed in seeds:
-                    run_dir = out / "runs" / f"d{dataset}_{method}_k{k}_seed{seed}"
-                    runs.append((dataset, method, k, seed, n, run_dir, overrides))
+    runs = [(dataset, method, k, seed, n, out / "runs" / f"d{dataset}_{method}_k{k}_seed{seed}", overrides)
+            for dataset in grid["datasets"] for method in grid["methods"] for k in grid["ks"] for seed in seeds]
     reports = run_sweep(runs, jobs=jobs)
-    bounds_by_run = {}
-    for (dataset, method, k, seed, _, run_dir, _), rep in zip(runs, reports):
-        bounds_by_run[(dataset, method, k, seed)] = bounds.BoundPair.from_csv(Path(run_dir) / "bounds.csv")
+    bounds_by_run = {(dataset, method, k, seed): bounds.BoundPair.from_csv(run_dir / "bounds.csv")
+                     for dataset, method, k, seed, _, run_dir, _ in runs}
     rows = aggregate_table(reports, bounds_by_run)
-    write_table_csv(rows, out / f"table{table}.csv")
+    write_table_csv(rows, _made(out) / f"table{table}.csv")
     (out / f"table{table}.txt").write_text(render_table(rows))
     # Plot-ready width-vs-k curve data (one row per run).
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", "method", "k", "seed", "mean_width", "coverage"])
-    for rep in reports:
-        writer.writerow([rep.dataset, rep.method, rep.k, rep.seed,
-                         format(rep.mean_width, ".17g"), format(rep.coverage, ".17g")])
-    with open(out / f"width_by_k_table{table}.csv", "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(out / f"width_by_k_table{table}.csv", ["dataset", "method", "k", "seed", "mean_width", "coverage"],
+               ([r.dataset, r.method, r.k, r.seed, format(r.mean_width, ".17g"), format(r.coverage, ".17g")]
+                for r in reports))
     write_manifest(out, f"reproduce-table{table}", {
         "table": table, "seeds": list(seeds), "n": n, "jobs": jobs, "overrides": overrides or {},
     })

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bnd
-from . import parallel
+from . import InputError, parallel
 from .data import DatasetSplit, OutcomeRange, SampleBatch
 from .nets import OUTCOME_SPEC, PROPENSITY_SPEC, TrainConfig, TwoBranchNet, train_with_early_stopping
 from .rng import stream_rng
@@ -75,7 +75,7 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int, n_restarts: int = 10,
     z = _instruments(z)
     distinct = np.unique(z, axis=0)
     if len(distinct) < k:
-        raise ValueError(f"need at least {k} distinct instrument values, found {len(distinct)}")
+        raise InputError(f"need at least {k} distinct instrument values, found {len(distinct)}")
     rng = stream_rng(seed, "kmeans")
     best: KMeansModel | None = None
     for _ in range(n_restarts):
@@ -124,7 +124,7 @@ def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
     km = kmeans_fit(split.train.z, k, config.seed)
     present = set(np.unique(split.train.a))
     if present != {0, 1}:
-        raise ValueError("both treatment arms required in training data")
+        raise InputError("both treatment arms required in training data")
 
     def arrays(batch: SampleBatch) -> dict[str, np.ndarray]:
         return {

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import InputError
 from . import autodiff as ad
 from .parallel import PicklableFields
 from .rng import stream_rng
@@ -83,19 +84,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+            raise InputError("learning rate must be positive")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise InputError("max_epochs must be >= 1")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise InputError("k must be >= 1")
         if self.batch_size < 2 * self.k:
-            raise ValueError("batch size must be >= 2k")
+            raise InputError("batch size must be >= 2k")
         if self.lam < 0 or self.gamma < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise InputError("loss weights must be non-negative")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise InputError("temperature must be positive")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise InputError("restarts must be >= 1")
 
 
 def _init_dense(rng: np.random.Generator, params: dict, prefix: str, fan_in: int, fan_out: int) -> None:
@@ -568,18 +569,32 @@ def save_checkpoint(net: _Net, path) -> None:
             fh.write(np.ascontiguousarray(net.params[name], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> _Net:
+def load_checkpoint(path, kind: str | None = None) -> _Net:
+    """Read a ``save_checkpoint`` file. A wrong magic, a short read, a bad
+    header or a net kind that is unknown or not ``kind`` raise ``InputError``."""
+
+    def read(count: int) -> bytes:
+        chunk = fh.read(count)
+        if len(chunk) != count:
+            raise InputError(f"truncated checkpoint: {path}")
+        return chunk
+
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"not a model checkpoint: {path}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        params = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-            params[entry["name"]] = np.array(arr, dtype=np.float64)
-    cls = _NET_KINDS[header["kind"]]
-    return cls.from_meta(header["meta"], params)
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+            raise InputError(f"not a model checkpoint: {path}")
+        (hlen,) = struct.unpack("<I", read(4))
+        try:
+            header = json.loads(read(hlen))
+            found = header["kind"]
+            if found not in _NET_KINDS or kind not in (None, found):
+                raise InputError(f"{path} holds a net of kind {found!r}, not {kind or 'a known kind'}")
+            params = {}
+            for entry in header["arrays"]:
+                shape = tuple(map(int, entry["shape"]))
+                arr = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+                params[entry["name"]] = np.array(arr, dtype=np.float64)
+            return _NET_KINDS[found].from_meta(header["meta"], params)
+        except InputError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"bad checkpoint header in {path}: {exc}") from None

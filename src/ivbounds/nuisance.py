@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
+from . import InputError, parallel
 from .data import DatasetSplit, SampleBatch
 from .nets import (OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TrainLog, TwoBranchNet,
                    train_with_early_stopping)
@@ -91,11 +91,9 @@ def _fit_best(create, split: DatasetSplit, config: TrainConfig, name: str) -> tu
 
 def fit_mu(split: DatasetSplit, config: TrainConfig) -> tuple[TwoBranchNet, TrainLog]:
     """Outcome net; each sample trains only the head matching its arm."""
-    if len(split.train) == 0:
-        raise ValueError("empty training split")
     present = set(np.unique(split.train.a))
     if present != {0, 1}:
-        raise ValueError(f"both treatment arms required in training data, found {sorted(present)}")
+        raise InputError(f"both treatment arms required in training data, found {sorted(present)}")
     return _fit_best(lambda rng: TwoBranchNet.create(1, split.train.d, rng, OUTCOME_SPEC), split, config, "mu")
 
 

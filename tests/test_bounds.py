@@ -339,10 +339,12 @@ def d1_range():
 
 def test_population_oracle_dataset1_contains_cate(d1_range):
     x_grid = np.linspace(-1, 1, 21)
-    pair = metrics.population_bounds_oracle(1, [0.0], d1_range, x_grid, n_z=801, n_u=401, n_s=801)
+    pair = metrics.population_bounds_oracle(1, [-0.5, 0.5], d1_range, x_grid, n_z=801, n_u=401, n_s=801)
     tau = data.tau_dataset12(x_grid)
     assert np.all(pair.lower <= tau)
     assert np.all(tau <= pair.upper)
+    # Cells of different instrument strength: narrower than the outcome range.
+    assert np.all(pair.width < d1_range.width - 0.1)
 
 
 def test_population_oracle_single_cell_width(d1_range):

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from ivbounds import checks, cli, data
+from ivbounds import checks, cli, data, nets
 from ivbounds.bounds import BoundPair
 from ivbounds.nets import TrainConfig
 
@@ -54,7 +54,8 @@ def test_generate_unwritable_path_exit_2(tmp_path):
 
 def test_staged_pipeline_and_single_run(tmp_path):
     # generate -> fit-nuisance -> fit-partition -> bounds -> evaluate, with a
-    # reduced budget; then the `run` command end to end.
+    # reduced budget; then the `run` command end to end, which must write the
+    # same checkpoints, train log and bounds byte for byte.
     fast = ["--max-epochs", "4", "--restarts", "1", "--patience", "2"]
     d = tmp_path / "data"
     assert run_cli("generate", "--dataset", "1", "--n", "400", "--seed", "1", "--out", str(d)) == 0
@@ -86,6 +87,10 @@ def test_staged_pipeline_and_single_run(tmp_path):
     for name in ("bounds.csv", "metrics.json", "metrics.trace.json", "metrics.txt", "train_log.csv", "manifest.json",
                  "mu.ckpt", "pi.ckpt", "eta.ckpt", "partition.ckpt"):
         assert (run_dir / name).exists(), name
+    staged = {"mu.ckpt": nd, "pi.ckpt": nd, "eta.ckpt": nd, "partition.ckpt": pd_, "train_log.csv": pd_,
+              "bounds.csv": bd}
+    for name, directory in staged.items():
+        assert (directory / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 def test_oracle_run_deterministic(tmp_path):
@@ -135,6 +140,51 @@ def test_bounds_ours_refuses_missing_inputs(tmp_path, capsys):
     assert "needs --nuisance\n" in capsys.readouterr().err
     assert not out.exists()
     assert not (out / "bounds.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "naive", "--k", "8", "--n", "12"],  # fewer distinct instruments than k
+    ["--method", "ours", "--k", "1", "--n", "12"],  # one treatment arm in the training split
+    ["--method", "oracle"],  # the oracle is defined for dataset 3 only
+    ["--k", "20"],  # batch size below 2k
+    ["--n", "4"],  # too few samples to split
+], ids=["kmeans", "single-arm", "oracle", "batch-size", "tiny-n"])
+def test_run_refuses_unusable_inputs_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "runs"
+    assert run_cli("run", "--dataset", "1", "--out", str(out), *argv) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _fake_nuisance_dir(path):
+    rng = np.random.default_rng(0)
+    path.mkdir()
+    nets.save_checkpoint(nets.TwoBranchNet.create(1, 1, rng, nets.OUTCOME_SPEC), path / "mu.ckpt")
+    nets.save_checkpoint(nets.TwoBranchNet.create(1, 1, rng, nets.PROPENSITY_SPEC), path / "pi.ckpt")
+    nets.save_checkpoint(nets.EtaNet.create(1, rng), path / "eta.ckpt")
+    nets.save_checkpoint(nets.PartitionNet.create(1, 2, rng), path / "partition.ckpt")
+
+
+def test_bounds_refuses_malformed_or_wrong_kind_checkpoints(tmp_path, capsys):
+    d1, nd, out = tmp_path / "d1", tmp_path / "nuis", tmp_path / "bounds"
+    assert run_cli("generate", "--dataset", "1", "--n", "50", "--seed", "0", "--out", str(d1)) == 0
+    _fake_nuisance_dir(nd)
+    argv = ["bounds", "--data", str(d1), "--nuisance", str(nd), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv, "--partition", str(nd / "mu.ckpt")) == cli.EXIT_IO
+    assert "holds a net of kind 'two_head_outcome', not partition" in capsys.readouterr().err
+    (nd / "pi.ckpt").write_bytes((nd / "eta.ckpt").read_bytes())
+    assert run_cli(*argv, "--partition", str(nd / "partition.ckpt")) == cli.EXIT_IO
+    assert "holds a net of kind 'eta', not propensity" in capsys.readouterr().err
+    assert run_cli("fit-partition", "--data", str(d1), "--nuisance", str(nd), "--k", "2",
+                   "--out", str(out)) == cli.EXIT_IO
+    assert "not propensity" in capsys.readouterr().err
+    (nd / "mu.ckpt").write_bytes((nd / "mu.ckpt").read_bytes()[:100])
+    assert run_cli(*argv, "--partition", str(nd / "partition.ckpt")) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("refused: truncated checkpoint") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_reproduce_on_two_jobs_reports_a_training_abort(tmp_path, capsys):

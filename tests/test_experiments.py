@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ivbounds import bounds, experiments, metrics
+from ivbounds import InputError, bounds, experiments, metrics
 
 FAST = {"max_epochs": 3, "restarts": 1, "patience": 2}
 
@@ -42,7 +42,7 @@ def test_run_experiment_is_deterministic():
 
 
 def test_run_experiment_oracle_only_dataset3():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="dataset 3 only"):
         experiments.run_experiment(1, "oracle", 2, 0, n=300)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivbounds import data, naive
+from ivbounds import InputError, data, naive
 from ivbounds.nets import TrainConfig
 from ivbounds.rng import stream_rng
 
@@ -30,7 +30,7 @@ def test_kmeans_two_gaussians():
 
 def test_kmeans_requires_enough_distinct_points():
     z = np.array([[1.0], [1.0], [1.0]])
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(InputError, match="distinct"):
         naive.kmeans_fit(z, 2, seed=0)
 
 

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivbounds import InputError
 from ivbounds import autodiff as ad
 from ivbounds import nets
 from ivbounds.rng import stream_rng
@@ -18,11 +21,11 @@ def test_mlpspec_validation():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         nets.TrainConfig(batch_size=4, k=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         nets.TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         nets.TrainConfig(gamma=-0.1)
 
 
@@ -453,5 +456,42 @@ def test_checkpoint_round_trip(tmp_path, factory):
 def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="not a model checkpoint"):
         nets.load_checkpoint(path)
+
+
+def _checkpoint_bytes(header: bytes, arrays: bytes = b"") -> bytes:
+    return b"IVBNET01" + struct.pack("<I", len(header)) + header + arrays
+
+
+@pytest.mark.parametrize("cut", [9, 12, 40, -8, -1], ids=["length", "length-end", "header", "array", "last-byte"])
+def test_checkpoint_rejects_truncation(tmp_path, cut):
+    path = tmp_path / "eta.ckpt"
+    nets.save_checkpoint(nets.EtaNet.create(1, stream_rng(9, "init")), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(InputError, match="truncated"):
+        nets.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"{not json", b"\xff\xfe", b"[1, 2]", b'{"kind": "eta"}', b'{"kind": ["eta"], "arrays": []}',
+    b'{"kind": "eta", "arrays": [{"name": "w"}], "meta": {}}',
+    b'{"kind": "eta", "arrays": [{"name": "w", "shape": [-1, -2]}], "meta": {}}',
+    b'{"kind": "eta", "arrays": [], "meta": {}}',
+], ids=["json", "utf8", "list", "no-arrays", "kind-type", "no-shape", "negative-shape", "meta"])
+def test_checkpoint_rejects_bad_headers(tmp_path, header):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_checkpoint_bytes(header, bytes(16)))
+    with pytest.raises(InputError, match="bad checkpoint header"):
+        nets.load_checkpoint(path)
+
+
+def test_checkpoint_kind_is_checked(tmp_path):
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(_checkpoint_bytes(b'{"kind": "resnet", "arrays": [], "meta": {}}'))
+    with pytest.raises(InputError, match="'resnet', not a known kind"):
+        nets.load_checkpoint(path)
+    nets.save_checkpoint(nets.EtaNet.create(1, stream_rng(9, "init")), path)
+    assert nets.load_checkpoint(path, "eta").kind == "eta"
+    with pytest.raises(InputError, match="'eta', not partition"):
+        nets.load_checkpoint(path, "partition")

@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ivbounds import data, nuisance
+from ivbounds import InputError, data, nuisance
 from ivbounds.nets import OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TwoBranchNet
 from ivbounds.rng import stream_rng
 
@@ -72,7 +72,7 @@ def test_fit_mu_requires_both_arms():
     n = 100
     x = rng.uniform(-1, 1, n)
     split = _split_from_arrays(x, x.copy(), np.ones(n), y=x.copy())
-    with pytest.raises(ValueError, match="both treatment arms"):
+    with pytest.raises(InputError, match="both treatment arms"):
         nuisance.fit_mu(split, _config())
 
 

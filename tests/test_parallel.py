@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ivbounds import autodiff as ad
-from ivbounds import bounds, data, experiments, metrics, nuisance, parallel, partition
+from ivbounds import InputError, bounds, data, experiments, metrics, nuisance, parallel, partition
 from ivbounds.nets import EtaNet, TrainConfig, TrainingAbort
 
 WAIT_S = 60.0
@@ -71,6 +71,7 @@ def _square_or_fail(index):
     bounds.EmptyCellError(3, 1),
     bounds.EmptyCellError(2),
     metrics.QuadratureError("oracle moved 1e-3 on grid doubling"),
+    InputError("need at least 8 distinct instrument values, found 4"),
 ], ids=lambda e: type(e).__name__)
 def test_package_exceptions_survive_pickling(error):
     copy = pickle.loads(pickle.dumps(error))
