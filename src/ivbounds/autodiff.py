@@ -5,17 +5,16 @@ arrays, and graphs are built eagerly: each node computes its value once,
 when it is built, and never re-evaluates it. Gradients are accumulated by a
 reverse topological sweep. Elementwise binary ops (``add``, ``sub``,
 ``mul``, ``div``) accept equal shapes or a Python scalar; nothing else
-broadcasts, and a bias is added inside ``dense``.
+broadcasts.
 
-The ops are the ones the pipeline builds: ``input``, ``matmul``, ``dense``,
-the elementwise binaries, ``neg``, ``softmax``, ``log_softmax``,
-``softplus``, ``log``, ``clip_min``, the reductions ``sum``, ``mean``,
-``min`` and ``max``, ``concat``, ``straight_through`` and
-``gumbel_noise_add`` (``OP_KINDS``).
-
-``dense(h, w, b, relu)`` is one fused node for an affine layer and its
-optional relu; it does the arithmetic of the matmul, add and relu nodes it
-replaces, so results are bitwise equal, with two nodes fewer per layer.
+It holds only the loss math of the second stage: the composite loss and
+the warm-start cross-entropy. Their graphs start at the partition net's head
+outputs, which enter as trainable leaves; the nets' own layers run forward
+and backward in numpy (see ``nets``). The ops are the ones those graphs
+build: ``input``, ``matmul``, the elementwise binaries, ``neg``,
+``softmax``, ``log_softmax``, ``log``, ``clip_min``, the reductions ``sum``,
+``mean``, ``min`` and ``max``, ``straight_through`` and ``gumbel_noise_add``
+(``OP_KINDS``).
 
 Finite checks: every forward value is checked when its node is built.
 Gradients are checked once per backward pass, on the trainable gradients it
@@ -43,7 +42,6 @@ OP_KINDS = frozenset(
     {
         "input",
         "matmul",
-        "dense",
         "add",
         "sub",
         "mul",
@@ -51,14 +49,12 @@ OP_KINDS = frozenset(
         "neg",
         "softmax",
         "log_softmax",
-        "softplus",
         "log",
         "clip_min",
         "sum",
         "mean",
         "min",
         "max",
-        "concat",
         "straight_through",
         "gumbel_noise_add",
     }
@@ -119,10 +115,6 @@ class Node:
             raise NonFiniteError(self, "value")
         return self
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     # Operator sugar for ``node * scalar`` and ``scalar - node``; scalars
     # stay scalars (they are op parameters, not nodes).
     def __rsub__(self, other):
@@ -165,27 +157,6 @@ def matmul(a: Node, b: Node) -> Node:
         _accumulate(b, a.value.T @ out.grad)
 
     return out._init(a.value @ b.value, bw)
-
-
-def dense(h: Node, w: Node, b: Node, relu: bool = False) -> Node:
-    """Affine layer ``h @ w + b`` for h (n, i), w (i, o), b (o,), followed by
-    relu when ``relu`` is set; one node with the arithmetic of the matmul,
-    add and relu nodes it replaces."""
-    hv, wv, bv = h.value, w.value, b.value
-    if hv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1 or hv.shape[1] != wv.shape[0] or bv.shape[0] != wv.shape[1]:
-        raise ShapeMismatchError("dense", hv.shape, wv.shape, bv.shape)
-    out = Node("dense", (h, w, b))
-    z = hv @ wv + bv
-
-    def bw():
-        # Subgradient of relu at 0 is 0; out.value > 0 exactly where the
-        # pre-activation is.
-        g = out.grad * (out.value > 0.0) if relu else out.grad
-        _accumulate(h, g @ w.value.T)
-        _accumulate(w, h.value.T @ g)
-        _accumulate(b, g.sum(axis=0))
-
-    return out._init(np.maximum(z, 0.0) if relu else z, bw)
 
 
 def _equal_shapes(op: str, a: Node, b: Node) -> None:
@@ -282,16 +253,6 @@ def log_softmax(a: Node) -> Node:
     return out._init(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)), bw)
 
 
-def softplus(a: Node) -> Node:
-    out = Node("softplus", (a,))
-
-    def bw():
-        s = np.where(a.value >= 0, 1.0 / (1.0 + np.exp(-a.value)), np.exp(a.value) / (1.0 + np.exp(a.value)))
-        _accumulate(a, out.grad * s)
-
-    return out._init(np.logaddexp(0.0, a.value), bw)
-
-
 def log(a: Node) -> Node:
     out = Node("log", (a,))
     return out._init(np.log(a.value), lambda: _accumulate(a, out.grad / a.value))
@@ -315,17 +276,11 @@ def reduce_sum(a: Node, axis: int | None = None) -> Node:
     return out._init(np.sum(a.value, axis=axis), bw)
 
 
-def reduce_mean(a: Node, axis: int | None = None) -> Node:
+def reduce_mean(a: Node) -> Node:
+    """Mean over all entries."""
     out = Node("mean", (a,))
-    count = a.value.size if axis is None else a.value.shape[axis]
-
-    def bw():
-        if axis is None:
-            _accumulate(a, np.full_like(a.value, float(out.grad) / count))
-        else:
-            _accumulate(a, np.repeat(np.expand_dims(out.grad / count, axis), count, axis=axis))
-
-    return out._init(np.mean(a.value, axis=axis), bw)
+    count = a.value.size
+    return out._init(np.mean(a.value), lambda: _accumulate(a, np.full_like(a.value, float(out.grad) / count)))
 
 
 def _extreme_reduce(kind: str, a: Node, axis: int) -> Node:
@@ -349,28 +304,6 @@ def reduce_min(a: Node, axis: int) -> Node:
 
 def reduce_max(a: Node, axis: int) -> Node:
     return _extreme_reduce("max", a, axis)
-
-
-def concat(nodes: list[Node], axis: int = 1) -> Node:
-    if not nodes:
-        raise ShapeMismatchError("concat")
-    ndim = nodes[0].value.ndim
-    for n in nodes[1:]:
-        if n.value.ndim != ndim or any(
-            n.value.shape[d] != nodes[0].value.shape[d] for d in range(ndim) if d != axis
-        ):
-            raise ShapeMismatchError("concat", *(m.value.shape for m in nodes))
-    out = Node("concat", tuple(nodes))
-    sizes = [n.value.shape[axis] for n in nodes]
-
-    def bw():
-        offsets = np.cumsum([0] + sizes)
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(node, out.grad[tuple(sl)])
-
-    return out._init(np.concatenate([n.value for n in nodes], axis=axis), bw)
 
 
 def straight_through(a: Node) -> Node:
@@ -443,25 +376,3 @@ def backward_grad(root: Node) -> dict[str, Tensor]:
             if node.grad is not None and not np.isfinite(node.grad).all():
                 raise NonFiniteError(node, "gradient")
     return out
-
-
-def finite_diff_check(build: Callable[[Node], Node], point: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``build`` maps an input node to a scalar root; each bumped point is
-    evaluated by building that graph again. Returns
-    max_i |analytic_i - numeric_i| / (|analytic_i| + 1e-8).
-    """
-    point = as_tensor(point)
-    root = build(input_node(point, name="__fd__", trainable=True))
-    if root.value.size != 1:
-        raise ValueError("finite_diff_check requires a scalar function")
-    analytic = backward_grad(root)["__fd__"]
-    numeric = np.zeros_like(point)
-    for i in range(point.size):
-        for sign in (+1.0, -1.0):
-            bumped = point.copy()
-            bumped.flat[i] += sign * step
-            numeric.flat[i] += sign * float(build(input_node(bumped)).value)
-        numeric.flat[i] /= 2.0 * step
-    return float(np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)))

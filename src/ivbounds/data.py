@@ -99,7 +99,7 @@ class OutcomeRange:
 Z_SUPPORT_MAX = 1.0
 
 
-def _sigmoid(v):
+def sigmoid(v):
     v = np.asarray(v, dtype=np.float64)
     return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
 
@@ -115,7 +115,7 @@ def tau_dataset3(x):
 
 
 def propensity_dataset1(z, x, u):
-    score = _sigmoid((2.0 * np.abs(z) - Z_SUPPORT_MAX) + x + 0.5 * u)
+    score = sigmoid((2.0 * np.abs(z) - Z_SUPPORT_MAX) + x + 0.5 * u)
     return (score - 0.5) * 0.9 + 0.5
 
 

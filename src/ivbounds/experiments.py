@@ -95,6 +95,15 @@ def nuisance_stage(split: data.DatasetSplit, config: TrainConfig, out: Path | No
     return nuis
 
 
+def _check_input_widths(split: data.DatasetSplit, **nets) -> None:
+    """Refuse nets whose input widths are not one x column and ``split.train.d`` z columns."""
+    for name, net in nets.items():
+        for column, width in (("x", 1), ("z", split.train.d)):
+            if net.meta().get(f"{column}_dim", width) != width:
+                raise InputError(f"the {name} net takes {net.meta()[f'{column}_dim']} {column} columns; "
+                                 f"the data has {width}")
+
+
 def load_nuisances(path: Path) -> nuisance.NuisanceSet:
     """The frozen nuisance set of a ``nuisance_stage`` directory; each file must hold its net's kind."""
     return nuisance.NuisanceSet(**{name: load_checkpoint(path / f"{name}.ckpt", kind)
@@ -103,6 +112,7 @@ def load_nuisances(path: Path) -> nuisance.NuisanceSet:
 
 def partition_stage(split: data.DatasetSplit, nuis: nuisance.NuisanceSet, config: TrainConfig,
                     out: Path | None = None) -> partition.Stage2Result:
+    _check_input_widths(split, mu=nuis.mu, pi=nuis.pi, eta=nuis.eta)
     net, rows, stage2 = partition.train_partition(split, nuis, config)
     if out is not None:
         _save_nets(out, partition=net)
@@ -125,7 +135,9 @@ def bounds_stage(dataset: int | None, method: str, model, split: data.DatasetSpl
     None for the oracle, which needs dataset 3 (None: dataset unknown)."""
     rng_range = data.outcome_range_from_train(split.train)
     if method == "ours":
-        pair, diag = partition.evaluate_bounds(*model, split, rng_range)
+        net, nuis = model
+        _check_input_widths(split, partition=net, mu=nuis.mu, pi=nuis.pi, eta=nuis.eta)
+        pair, diag = partition.evaluate_bounds(net, nuis, split, rng_range)
     elif method == "naive":
         pair, diag = naive.naive_bounds(model, split.test, rng_range)
     elif method == "oracle":
@@ -145,7 +157,12 @@ def bounds_stage(dataset: int | None, method: str, model, split: data.DatasetSpl
 def report_stage(pair: bounds.BoundPair, test: data.SampleBatch, oracle: bounds.BoundPair | None = None,
                  min_cell_mass: float | None = None, out: Path | None = None, started: float | None = None,
                  **fields) -> metrics.MetricsReport:
-    """Metrics of ``pair`` on the test split, against ``oracle`` if given; runtime from ``started``."""
+    """Metrics of ``pair`` on the test split, against ``oracle`` if given; runtime from ``started``.
+    Bounds whose x column is not the test split's are refused."""
+    for name, given in (("bounds", pair), ("oracle bounds", oracle)):
+        if given is not None and not np.array_equal(given.x, test.x):
+            raise InputError(f"the {name} are for other data: their {len(given.x)} x values are not "
+                             f"this data's {len(test.x)} test points")
     report = metrics.MetricsReport(
         coverage=metrics.coverage(pair, test.tau_true),
         mean_width=metrics.mean_width(pair),

@@ -220,7 +220,7 @@ def eta_true_dataset12(dataset: int, z: np.ndarray, n_s: int = 4001) -> np.ndarr
     if dataset == 1:
         s, w = _trapezoid_weights(-1.5, 1.5, n_s)
         dens = dgp.uniform_sum_density(s, 1.0, 0.5)
-        inner = dgp._sigmoid((2.0 * np.abs(z)[:, None] - dgp.Z_SUPPORT_MAX) + s[None, :])
+        inner = dgp.sigmoid((2.0 * np.abs(z)[:, None] - dgp.Z_SUPPORT_MAX) + s[None, :])
         return 0.05 + 0.9 * (inner @ (w * dens))
     if dataset == 2:
         s, w = _trapezoid_weights(-2.0, 2.0, n_s)

@@ -37,9 +37,7 @@ class KMeansModel:
 
     def assign(self, z: np.ndarray) -> np.ndarray:
         """Nearest centroid; ties resolve to the smallest index."""
-        z = _instruments(z)
-        d2 = ((z[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        return np.argmin(_sq_distances(_instruments(z), self.centroids), axis=1)
 
 
 def _instruments(z: np.ndarray) -> np.ndarray:
@@ -52,6 +50,11 @@ def _instruments(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _sq_distances(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances of the rows of z to the centroids."""
+    return ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def _inertia(z: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     return float(((z - centroids[labels]) ** 2).sum())
 
@@ -60,7 +63,7 @@ def _plusplus_seed(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = z.shape[0]
     centroids = [z[rng.integers(n)]]
     for _ in range(1, k):
-        d2 = np.min(((z[:, None, :] - np.array(centroids)[None, :, :]) ** 2).sum(axis=2), axis=1)
+        d2 = np.min(_sq_distances(z, np.array(centroids)), axis=1)
         total = d2.sum()
         if total <= 0:
             centroids.append(z[rng.integers(n)])
@@ -82,7 +85,7 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int, n_restarts: int = 10,
         centroids = _plusplus_seed(z, k, rng)
         history: list[float] = []
         for _ in range(max_iter):
-            d2 = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            d2 = _sq_distances(z, centroids)
             labels = np.argmin(d2, axis=1)
             history.append(_inertia(z, centroids, labels))
             new_centroids = centroids.copy()
@@ -97,7 +100,7 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int, n_restarts: int = 10,
             centroids = new_centroids
             if movement < tol:
                 break
-        labels = np.argmin(((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
+        labels = np.argmin(_sq_distances(z, centroids), axis=1)
         history.append(_inertia(z, centroids, labels))
         model = KMeansModel(centroids=centroids, inertia=history[-1], history=history)
         if best is None or model.inertia < best.inertia:
@@ -114,7 +117,7 @@ class NaiveFit:
 
 def _fit_net(spec, k: int, name: str, train: dict, val: dict, config: TrainConfig) -> TwoBranchNet:
     net = TwoBranchNet.create(1, k, stream_rng(config.seed, f"naive-{name}-init"), spec)
-    train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, val, config,
+    train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config,
                               rng=stream_rng(config.seed, f"naive-{name}-batches"))
     return net
 

@@ -8,10 +8,15 @@ per treatment arm) or the propensity net (one sigmoid head). The partition
 net maps instruments to k cells through a Gumbel-softmax layer and carries
 an auxiliary linear classification head on its last hidden layer.
 
-Training builds autodiff graphs (``_stack``/``_dense``) with one fused
-``ad.dense`` node per layer; prediction runs the same layers in plain numpy
-(``_stack_np``/``_dense_np``, with bias and relu applied in place), the one
-numpy forward path of every net. ``predict_pairwise`` runs it over blocks of
+Every net runs forward through ``_stack_np``/``_dense_np`` in numpy, to
+predict and to train, and backward through ``_heads_backward`` and
+``_stack_backward`` on the activations the forward collected. The backward
+keeps the arithmetic of a fused matmul-bias-relu autodiff node (relu's
+subgradient is 0 at 0, read off the output); the tests hold it bitwise to
+that graph. The stage-1 nets' ``loss_and_grad`` builds no graph; the
+partition net's head outputs are leaves of the stage-2 loss graph.
+
+``predict_pairwise`` runs the forward over blocks of
 ``PAIRWISE_BLOCK_PAIRS`` (x, z) pairs: small enough to stay in cache, and
 large enough to keep the first trunk matmul out of OpenBLAS's small-matrix
 kernel (M <= 5,000 rows), whose last bits differ (see ``predict_pairwise``).
@@ -24,13 +29,16 @@ whole-buffer operations.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import InputError
 from . import autodiff as ad
+from .data import sigmoid
 from .parallel import PicklableFields
 from .rng import stream_rng
 
@@ -113,27 +121,50 @@ def _init_stack(rng, params, prefix, in_dim, depth, hidden) -> int:
     return d
 
 
-def _dense(h: ad.Node, pnodes: dict[str, ad.Node], prefix: str, relu: bool = False) -> ad.Node:
-    return ad.dense(h, pnodes[f"{prefix}.w"], pnodes[f"{prefix}.b"], relu=relu)
-
-
-def _stack(h: ad.Node, pnodes, prefix: str, depth: int) -> ad.Node:
-    for i in range(depth):
-        h = _dense(h, pnodes, f"{prefix}{i}", relu=True)
-    return h
-
-
 def _dense_np(h: np.ndarray, params, prefix: str) -> np.ndarray:
     out = h @ params[f"{prefix}.w"]
     out += params[f"{prefix}.b"]
     return out
 
 
-def _stack_np(h: np.ndarray, params, prefix: str, depth: int) -> np.ndarray:
+def _stack_np(h: np.ndarray, params, prefix: str, depth: int, acts: list | None = None) -> np.ndarray:
+    """Relu layers ``{prefix}0``, ``{prefix}1``, ... on the rows of ``h``; the
+    list ``acts``, if given, receives the input and each layer's output."""
+    acts = [] if acts is None else acts
+    acts.append(h)
     for i in range(depth):
         h = _dense_np(h, params, f"{prefix}{i}")
-        np.maximum(h, 0.0, out=h)
+        acts.append(np.maximum(h, 0.0, out=h))
     return h
+
+
+def _dense_backward(h: np.ndarray, params, prefix: str, g: np.ndarray, grads: dict) -> np.ndarray:
+    """Puts layer ``prefix``'s parameter gradients for input ``h`` and output
+    gradient ``g`` in ``grads``; returns the input's gradient."""
+    grads[f"{prefix}.w"] = h.T @ g
+    grads[f"{prefix}.b"] = g.sum(axis=0)
+    return g @ params[f"{prefix}.w"].T
+
+
+def _stack_backward(acts: list, params, prefix: str, g: np.ndarray, grads: dict) -> np.ndarray:
+    """``_dense_backward`` for a stack that collected ``acts``, layer by layer
+    from the top; relu passes ``g`` where the layer's output is > 0."""
+    for i in reversed(range(len(acts) - 1)):
+        g = _dense_backward(acts[i], params, f"{prefix}{i}", g * (acts[i + 1] > 0.0), grads)
+    return g
+
+
+def _heads_backward(acts: list, params, prefix: str, head_grads: dict, grads: dict) -> np.ndarray:
+    """Backward of linear heads (name -> output gradient) on the stack that
+    collected ``acts``, then of the stack; returns its input's gradient."""
+    g = reduce(operator.add, [_dense_backward(acts[-1], params, name, gh, grads) for name, gh in head_grads.items()])
+    return _stack_backward(acts, params, prefix, g, grads)
+
+
+def _log_loss_and_grad(logit: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean logistic loss softplus(w) - a * w, and its gradient (sigmoid(w) - a) / n."""
+    g = np.full_like(logit, 1.0 / logit.size)
+    return float(np.mean(np.logaddexp(0.0, logit) - a * logit)), g * sigmoid(logit) + (-g) * a
 
 
 def _as_col(v: np.ndarray) -> np.ndarray:
@@ -149,9 +180,6 @@ class _Net:
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
 
-    def param_nodes(self) -> dict[str, ad.Node]:
-        return {name: ad.input_node(arr, name=name, trainable=True) for name, arr in self.params.items()}
-
     def copy_params(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.params.items()}
 
@@ -162,12 +190,6 @@ class _Net:
 
     def meta(self) -> dict:
         raise NotImplementedError
-
-
-def _logistic_loss(logit: ad.Node, a: np.ndarray) -> ad.Node:
-    """Mean logistic loss in logit form: softplus(w) - a * w."""
-    a = ad.constant(_as_col(a).astype(np.float64))
-    return ad.reduce_mean(ad.sub(ad.softplus(logit), ad.mul(a, logit)))
 
 
 def _head_names(heads: int) -> list[str]:
@@ -214,34 +236,45 @@ class TwoBranchNet(_Net):
     def from_meta(cls, meta: dict, params: dict):
         return cls(meta["x_dim"], meta["z_dim"], MlpSpec(**meta["spec"]), params)
 
-    def loss_graph(self, batch: dict[str, np.ndarray]):
-        pnodes = self.param_nodes()
-        hx = _stack(ad.input_node(_as_col(batch["x"])), pnodes, "x_enc.", self.spec.x_depth)
-        hz = _stack(ad.input_node(_as_col(batch["z"])), pnodes, "z_enc.", self.spec.z_depth)
-        h = _stack(ad.concat([hx, hz], axis=1), pnodes, "shared.", self.spec.shared_depth)
-        heads = [_dense(h, pnodes, name) for name in self.head_names]
+    def loss_and_grad(self, batch: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
+        """Loss on ``batch`` and each parameter's gradient: squared error of
+        the head of the sample's arm (outcome), or logistic loss (propensity)."""
+        acts_x, acts_z, acts_h = [], [], []
+        hx, hz = self._encode_np(batch["x"], batch["z"], acts_x, acts_z)
+        heads = self._heads_np(np.concatenate([hx, hz], axis=1), acts_h)
+        a = _as_col(batch["a"])
         if self.spec.head_transform == "sigmoid":
-            return _logistic_loss(heads[0], batch["a"]), pnodes
-        y0, y1 = heads
-        a = _as_col(batch["a"]).astype(np.float64)
-        pred = ad.add(ad.mul(y1, ad.constant(a)), ad.mul(y0, ad.constant(1.0 - a)))
-        diff = ad.sub(pred, ad.constant(_as_col(batch["y"])))
-        return ad.reduce_mean(ad.mul(diff, diff)), pnodes
+            loss, g = _log_loss_and_grad(heads[0], a)
+            g_heads = [g]
+        else:
+            diff = (heads[1] * a + heads[0] * (1.0 - a)) - _as_col(batch["y"])
+            g = np.full_like(diff, 1.0 / diff.size) * diff
+            g += g
+            loss, g_heads = float(np.mean(diff * diff)), [g * (1.0 - a), g * a]
+        grads: dict[str, np.ndarray] = {}
+        g = _heads_backward(acts_h, self.params, "shared.", dict(zip(self.head_names, g_heads)), grads)
+        _stack_backward(acts_x, self.params, "x_enc.", g[:, : hx.shape[1]], grads)
+        _stack_backward(acts_z, self.params, "z_enc.", g[:, hx.shape[1] :], grads)
+        return loss, grads
 
-    def _encode_np(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (_stack_np(_as_col(x), self.params, "x_enc.", self.spec.x_depth),
-                _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth))
+    def _encode_np(self, x: np.ndarray, z: np.ndarray, acts_x: list | None = None,
+                   acts_z: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        return (_stack_np(_as_col(x), self.params, "x_enc.", self.spec.x_depth, acts_x),
+                _stack_np(_as_col(z), self.params, "z_enc.", self.spec.z_depth, acts_z))
 
-    def _heads_np(self, pairs: np.ndarray) -> list[np.ndarray]:
-        """Transformed (n, 1) head outputs for rows ``[hx | hz]`` of encodings."""
-        h = _stack_np(pairs, self.params, "shared.", self.spec.shared_depth)
-        out = [_dense_np(h, self.params, name) for name in self.head_names]
-        return [_sigmoid_np(v) for v in out] if self.spec.head_transform == "sigmoid" else out
+    def _heads_np(self, pairs: np.ndarray, acts: list | None = None) -> list[np.ndarray]:
+        """Untransformed (n, 1) head outputs for rows ``[hx | hz]`` of encodings."""
+        h = _stack_np(pairs, self.params, "shared.", self.spec.shared_depth, acts)
+        return [_dense_np(h, self.params, name) for name in self.head_names]
+
+    def _outputs_np(self, pairs: np.ndarray) -> list[np.ndarray]:
+        out = self._heads_np(pairs)
+        return [sigmoid(v) for v in out] if self.spec.head_transform == "sigmoid" else out
 
     def predict(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Shape (n,) for one head, else (n, heads): the outcome net gives
         [arm 0, arm 1] columns."""
-        out = self._heads_np(np.concatenate(self._encode_np(x, z), axis=1))
+        out = self._outputs_np(np.concatenate(self._encode_np(x, z), axis=1))
         return out[0][:, 0] if len(out) == 1 else np.concatenate(out, axis=1)
 
     def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, block_pairs: int = PAIRWISE_BLOCK_PAIRS):
@@ -277,7 +310,7 @@ class TwoBranchNet(_Net):
         for lo, hi in zip(starts, stops):
             block = buf[: hi - lo]
             block[:, :, :h] = hx[lo:hi, None, :]
-            heads = self._heads_np(block.reshape(-1, 2 * h))
+            heads = self._outputs_np(block.reshape(-1, 2 * h))
             for m, v in zip(out, heads):
                 m[lo:hi] = v.reshape(hi - lo, nz)
         return out[0] if len(out) == 1 else tuple(out)
@@ -308,14 +341,18 @@ class EtaNet(_Net):
     def from_meta(cls, meta: dict, params: dict):
         return cls(meta["z_dim"], meta["depth"], meta["hidden"], params)
 
-    def loss_graph(self, batch: dict[str, np.ndarray]):
-        pnodes = self.param_nodes()
-        h = _stack(ad.input_node(_as_col(batch["z"])), pnodes, "z_enc.", self.depth)
-        return _logistic_loss(_dense(h, pnodes, "head"), batch["a"]), pnodes
+    def loss_and_grad(self, batch: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
+        """Logistic loss on ``batch`` and each parameter's gradient."""
+        acts: list[np.ndarray] = []
+        h = _stack_np(_as_col(batch["z"]), self.params, "z_enc.", self.depth, acts)
+        loss, g = _log_loss_and_grad(_dense_np(h, self.params, "head"), _as_col(batch["a"]))
+        grads: dict[str, np.ndarray] = {}
+        _heads_backward(acts, self.params, "z_enc.", {"head": g}, grads)
+        return loss, grads
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth)
-        return _sigmoid_np(_dense_np(h, self.params, "head"))[:, 0]
+        return sigmoid(_dense_np(h, self.params, "head"))[:, 0]
 
 
 class PartitionNet(_Net):
@@ -348,15 +385,19 @@ class PartitionNet(_Net):
     def from_meta(cls, meta: dict, params: dict):
         return cls(meta["z_dim"], meta["k"], meta["depth"], meta["hidden"], params)
 
-    def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(assignment logits, auxiliary logits), each (n, k)."""
-        h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth)
+    def forward(self, z: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(assignment logits, auxiliary logits), each (n, k). A list ``acts``
+        receives the trunk's activations, for ``backward``."""
+        h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth, acts)
         return _dense_np(h, self.params, "logits"), _dense_np(h, self.params, "aux")
 
-    def forward_graph(self, pnodes: dict[str, ad.Node], z: np.ndarray) -> tuple[ad.Node, ad.Node]:
-        """Graph twin of ``forward`` on the given parameter nodes."""
-        h = _stack(ad.input_node(_as_col(z)), pnodes, "z_enc.", self.depth)
-        return _dense(h, pnodes, "logits"), _dense(h, pnodes, "aux")
+    def backward(self, acts: list, g_logits: np.ndarray, g_aux: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Parameter gradients from those of the outputs of the ``forward``
+        that collected ``acts``; without ``g_aux`` the aux head gets none."""
+        grads: dict[str, np.ndarray] = {}
+        heads = {"logits": g_logits} if g_aux is None else {"logits": g_logits, "aux": g_aux}
+        _heads_backward(acts, self.params, "z_enc.", heads, grads)
+        return grads
 
     def logits(self, z: np.ndarray) -> np.ndarray:
         return self.forward(z)[0]
@@ -366,24 +407,22 @@ class PartitionNet(_Net):
         return np.argmax(self.logits(z), axis=1)
 
     def assignment_graph(self, z: np.ndarray, noise: np.ndarray | None, temperature: float, hard: bool):
-        """Build the (cell weights, aux logits, param nodes) sub-graph for a batch.
+        """Build the (cell weights, aux logits, activations) sub-graph for a batch.
 
+        ``forward``'s outputs are its trainable leaves ``logits`` and ``aux``.
         Weights are softmax((logits + noise) / temperature), the Gumbel-softmax
         relaxation; ``hard`` makes the forward value the exact one-hot of the
         row argmax while the backward pass stays that of the soft weights.
         """
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        pnodes = self.param_nodes()
-        logits, aux_logits = self.forward_graph(pnodes, z)
+        acts: list[np.ndarray] = []
+        logits, aux_logits = (ad.input_node(v, name=name, trainable=True)
+                              for name, v in zip(("logits", "aux"), self.forward(z, acts)))
         noisy = logits if noise is None else ad.gumbel_noise_add(logits, noise)
         soft = ad.softmax(ad.div(noisy, temperature))
         weights = ad.straight_through(soft) if hard else soft
-        return weights, aux_logits, pnodes
-
-
-def _sigmoid_np(v: np.ndarray) -> np.ndarray:
-    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
+        return weights, aux_logits, acts
 
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
@@ -490,11 +529,12 @@ def train_with_early_stopping(
 ) -> TrainLog:
     """Minibatch Adam with early stopping on validation loss.
 
-    ``loss_fn(net, batch) -> (scalar root node, param nodes)``. The net is
-    left holding the parameters of the epoch with the smallest validation
-    loss. Validation defaults to the loss on the full validation arrays;
-    pass ``val_loss_fn(net) -> float`` to override (the second stage
-    validates in hard assignment mode).
+    ``loss_fn(net, batch) -> (loss, grads)``, the gradients by parameter
+    name; a ``NonFiniteError`` inside it or a non-finite loss raises
+    ``TrainingAbort``. The net is left holding the parameters of the epoch
+    with the smallest validation loss. Validation defaults to the loss on
+    the full validation arrays; pass ``val_loss_fn(net) -> float`` to
+    override (the second stage validates in hard assignment mode).
     """
     n = len(next(iter(train.values())))
     n_val = len(next(iter(val.values())))
@@ -515,19 +555,17 @@ def train_with_early_stopping(
                 continue
             batch = {key: arr[idx] for key, arr in train.items()}
             try:
-                root, _ = loss_fn(net, batch)
+                value, grads = loss_fn(net, batch)
             except ad.NonFiniteError as exc:
                 raise TrainingAbort(epoch, b, str(exc)) from exc
-            value = float(root.value)
             if not np.isfinite(value):
                 raise TrainingAbort(epoch, b, "loss is not finite")
-            grads = ad.backward_grad(root)
             adam_step(net.params, grads, state, config.learning_rate)
             epoch_losses.append(value)
         if val_loss_fn is not None:
             v = float(val_loss_fn(net))
         else:
-            v = float(loss_fn(net, val)[0].value)
+            v = float(loss_fn(net, val)[0])
         log.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else np.nan)
         log.val_loss.append(v)
         if v < best_val:

@@ -71,7 +71,7 @@ def _fit_restart(create, split: DatasetSplit, config: TrainConfig, name: str, r:
     net = create(stream_rng(config.seed, f"{name}-init-{r}"))
     log = train_with_early_stopping(
         net,
-        lambda m, b: m.loss_graph(b),
+        lambda m, b: m.loss_and_grad(b),
         _arrays(split.train),
         _arrays(split.val),
         config,

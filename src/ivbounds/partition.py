@@ -15,7 +15,9 @@ noise-free argmax assignments.
 ``composite_losses`` (validation) and ``evaluate_bounds`` aggregate through
 the one numpy kernel, ``bounds.aggregate_cells``, and reduce with
 ``bounds.bounds_on_grid``; ``composite_loss_graph`` is their differentiable
-twin on autodiff nodes, used for the training steps.
+twin on autodiff nodes, used for the training steps. Its graph, like the
+warm start's cross-entropy, starts at the net's head outputs, and
+``PartitionNet.backward`` takes their gradients into the net.
 
 ``train_partition`` computes the batch constants once, decides the restart
 candidates (random init, eta warm start when eta takes at least k distinct
@@ -115,13 +117,14 @@ def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: Ou
                          config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
     """Differentiable composite loss for one batch.
 
-    Returns (root, parts, pnodes, info); ``parts['l_b']`` is None when no
-    valid (l, m) pair exists, in which case the batch trains on the
+    Returns (root, parts, acts, info), with ``acts`` the partition net's
+    activations for ``PartitionNet.backward``; ``parts['l_b']`` is None when
+    no valid (l, m) pair exists, in which case the batch trains on the
     regularizers alone. Cells with an empty arm are dropped from the
     pairwise reduction via constant selection matrices.
     """
     n = len(const)
-    weights, aux_logits, pnodes = net.assignment_graph(const.z, noise, config.temperature, hard)
+    weights, aux_logits, acts = net.assignment_graph(const.z, noise, config.temperature, hard)
 
     # Mass penalty on the soft weights: straight-through hard masses can hit
     # exactly zero, where the clamped log has no gradient and a collapsed
@@ -175,7 +178,16 @@ def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: Ou
         l_b, ad.add(l_reg * config.lam, l_aux * config.gamma)
     )
     parts = {"l_b": l_b, "l_reg": l_reg, "l_aux": l_aux}
-    return root, parts, pnodes, info
+    return root, parts, acts, info
+
+
+def composite_loss_and_grad(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
+                            config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
+    """``composite_loss_graph`` and the gradient of its total for every
+    parameter of ``net``: (root, parts, grads)."""
+    root, parts, acts, _ = composite_loss_graph(net, const, rng_range, config, noise, hard)
+    g = ad.backward_grad(root)
+    return root, parts, net.backward(acts, g["logits"], g["aux"])
 
 
 def composite_losses(weights: np.ndarray, aux_logits: np.ndarray, const: BatchConstants,
@@ -244,10 +256,10 @@ def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
             idx = perm[lo : lo + config.batch_size]
             if len(idx) < 2:
                 continue
-            pnodes = net.param_nodes()
-            logits, _ = net.forward_graph(pnodes, z[idx])
+            acts: list[np.ndarray] = []
+            logits = ad.input_node(net.forward(z[idx], acts)[0], name="logits", trainable=True)
             ce = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(ad.constant(onehot[idx]), ad.log_softmax(logits)), axis=1)))
-            grads = ad.backward_grad(ce)
+            grads = net.backward(acts, ad.backward_grad(ce)["logits"])
             nets.adam_step(net.params, grads, state, config.learning_rate)
 
 
@@ -317,7 +329,7 @@ def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCon
         idx = batch["idx"].astype(int)
         const = train_const.subset(idx)
         noise = sample_gumbel((len(idx), config.k), gumbel_rng)
-        root, parts, pnodes, _ = composite_loss_graph(model, const, rng_range, config, noise, hard=True)
+        root, parts, grads = composite_loss_and_grad(model, const, rng_range, config, noise, hard=True)
         batch_parts.append(
             CompositeLossBreakdown(
                 l_b=float(parts["l_b"].value) if parts["l_b"] is not None else np.nan,
@@ -327,7 +339,7 @@ def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCon
                 gamma=config.gamma,
             )
         )
-        return root, pnodes
+        return float(root.value), grads
 
     def val_loss(model):
         total, breakdown, info = validation_loss(model, val_const, rng_range, config)

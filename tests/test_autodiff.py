@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivbounds import autodiff as ad
-from ivbounds import checks, experiments, parallel
+from ivbounds import checks, experiments, nets, parallel
 
 
 def scalar_input(v):
@@ -25,10 +25,11 @@ def test_square_gradient():
 
 
 def test_sigmoid_gradient_at_zero():
-    # The gradient of softplus is the logistic sigmoid, 1/2 at zero.
-    x = scalar_input(0.0)
-    root = ad.reduce_sum(ad.softplus(x))
-    assert ad.backward_grad(root)["x"][0] == 0.5
+    # The logistic loss softplus(w) - a * w, which the stage-1 nets
+    # differentiate by hand, has the gradient sigmoid(w) - a: 1/2 - a at zero.
+    for a, expected in ((0.0, 0.5), (1.0, -0.5)):
+        _, g = nets._log_loss_and_grad(np.zeros((1, 1)), np.array([[a]]))
+        assert g[0, 0] == expected
 
 
 def test_backward_requires_scalar_root():
@@ -62,44 +63,44 @@ def test_nonfinite_forward_raises():
 
 
 def test_finite_diff_cube():
-    err = ad.finite_diff_check(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), x)), np.array([2.0]), step=1e-5)
+    err = checks.graph_gradient_error(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), x)), np.array([2.0]), step=1e-5)
     assert err < 1e-6
 
 
 def test_finite_diff_constant_function():
-    err = ad.finite_diff_check(lambda x: ad.reduce_sum(ad.mul(x, 0.0)), np.array([1.0, -2.0]), step=1e-5)
+    err = checks.graph_gradient_error(lambda x: ad.reduce_sum(ad.mul(x, 0.0)), np.array([1.0, -2.0]), step=1e-5)
     assert err == 0.0
 
 
 def test_finite_diff_linear_sum():
-    err = ad.finite_diff_check(lambda x: ad.reduce_sum(x), np.linspace(-1, 1, 10), step=1e-5)
+    err = checks.graph_gradient_error(lambda x: ad.reduce_sum(x), np.linspace(-1, 1, 10), step=1e-5)
     assert err < 1e-9
 
 
-def _mlp_loss(x):
-    # Fixed random 2-layer MLP + mean-squared loss against a constant target.
+def _mlp_loss_and_input_grad(x):
+    # Fixed random 2-layer MLP + mean-squared loss against a constant target,
+    # through the nets' numpy forward and hand-written backward.
     rng = np.random.default_rng(7)
-    w1 = ad.constant(rng.normal(size=(4, 5)) * 0.5)
-    b1 = ad.constant(rng.normal(size=5) * 0.1)
-    w2 = ad.constant(rng.normal(size=(5, 1)) * 0.5)
-    target = ad.constant(rng.normal(size=(3, 1)))
-    h = ad.dense(x, w1, b1, relu=True)
-    pred = ad.matmul(h, w2)
-    diff = ad.sub(pred, target)
-    return ad.reduce_mean(ad.mul(diff, diff))
+    params = {"h0.w": rng.normal(size=(4, 5)) * 0.5, "h0.b": rng.normal(size=5) * 0.1,
+              "out.w": rng.normal(size=(5, 1)) * 0.5, "out.b": np.zeros(1)}
+    target = rng.normal(size=(3, 1))
+    acts = []
+    h = nets._stack_np(x, params, "h", 1, acts)
+    diff = nets._dense_np(h, params, "out") - target
+    grads = {}
+    g = nets._dense_backward(h, params, "out", 2.0 * diff / diff.size, grads)
+    return float(np.mean(diff * diff)), nets._stack_backward(acts, params, "h", g, grads)
 
 
 def test_mlp_gradient_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    point = rng.normal(size=(3, 4))
-    # Keep pre-activations away from relu kinks.
-    err = ad.finite_diff_check(_mlp_loss, point, step=1e-5)
-    assert err < 1e-4
+    point = np.random.default_rng(11).normal(size=(3, 4))
+    grads = {"x": _mlp_loss_and_input_grad(point)[1]}
+    assert checks.finite_diff_error(lambda: _mlp_loss_and_input_grad(point)[0], {"x": point}, grads, 1e-5) < 1e-4
 
 
 @pytest.mark.parametrize("op", sorted(checks.GRADIENT_CASES))
 def test_each_op_gradient_vs_finite_differences(op):
-    assert ad.finite_diff_check(checks.GRADIENT_CASES[op], checks.gradient_point(op), step=1e-5) < 1e-4
+    assert checks.graph_gradient_error(checks.GRADIENT_CASES[op], checks.gradient_point(op), step=1e-5) < 1e-4
 
 
 def test_fd_cases_cover_every_checkable_op_kind():
@@ -119,19 +120,17 @@ def test_straight_through_exact_onehot_and_identity_gradient():
 
 
 def test_determinism_bitwise():
-    rng = np.random.default_rng(3)
-    point = rng.normal(size=(3, 4))
-
-    def run():
-        x = ad.input_node(point, name="x", trainable=True)
-        root = _mlp_loss(x)
-        g = ad.backward_grad(root)["x"]
-        return root.value.copy(), g.copy()
-
-    v1, g1 = run()
-    v2, g2 = run()
-    assert np.array_equal(v1, v2)
+    point = np.random.default_rng(3).normal(size=(3, 4))
+    v1, g1 = _mlp_loss_and_input_grad(point)
+    v2, g2 = _mlp_loss_and_input_grad(point)
+    assert v1 == v2
     assert np.array_equal(g1, g2)
+    # The same for a graph: the composite loss's ops, through one backward sweep each.
+    grads = []
+    for _ in range(2):
+        x = ad.input_node(point, name="x", trainable=True)
+        grads.append(ad.backward_grad(ad.reduce_sum(ad.mul(ad.log_softmax(x), ad.softmax(ad.mul(x, 2.0)))))["x"])
+    assert np.array_equal(grads[0], grads[1])
 
 
 def test_chain_rule_composition():
@@ -139,7 +138,7 @@ def test_chain_rule_composition():
     point = np.array([0.7, -0.4, 1.2])
 
     def g_graph(x):
-        return ad.reduce_sum(ad.softplus(x))
+        return ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0)))
 
     x = ad.input_node(point, name="x", trainable=True)
     fused_root = ad.log(ad.mul(g_graph(x), 0.5))
@@ -168,9 +167,9 @@ def test_gradient_check_property_random_vectors(vals):
     point = np.where(np.abs(point) < 1e-3, point + 0.01, point)
 
     def build(x):
-        return ad.reduce_mean(ad.mul(ad.softplus(x), ad.clip_min(x, 0.0)))
+        return ad.reduce_mean(ad.mul(ad.log(ad.add(ad.mul(x, x), 1.0)), ad.clip_min(x, 0.0)))
 
-    assert ad.finite_diff_check(build, point, step=1e-5) < 1e-4
+    assert checks.graph_gradient_error(build, point, step=1e-5) < 1e-4
 
 
 def test_zero_gradient_for_unused_trainable_input():
@@ -195,34 +194,28 @@ def _dense_operands(draw):
 @settings(max_examples=60, deadline=None)
 @given(_dense_operands(), st.booleans())
 def test_dense_is_bitwise_the_unfused_layer(operands, relu):
-    h, w, b = (ad.input_node(v, name=name, trainable=True) for name, v in zip("hwb", operands))
-    out = ad.dense(h, w, b, relu=relu)
-    coeff = np.linspace(-1.0, 2.0, out.value.size).reshape(out.value.shape)
-    grads = ad.backward_grad(ad.reduce_sum(ad.mul(out, ad.constant(coeff))))
+    # A layer of the nets' forward and hand-written backward: a one-layer
+    # relu stack, or a linear head.
+    hv, wv, bv = operands
+    params = {"l0.w": wv, "l0.b": bv}
+    coeff = np.linspace(-1.0, 2.0, hv.shape[0] * wv.shape[1]).reshape(hv.shape[0], wv.shape[1])
+    grads = {}
+    if relu:
+        acts = []
+        out = nets._stack_np(hv, params, "l", 1, acts)
+        g_h = nets._stack_backward(acts, params, "l", coeff, grads)
+    else:
+        out = nets._dense_np(hv, params, "l0")
+        g_h = nets._dense_backward(hv, params, "l0", coeff, grads)
 
     # The unfused layer in numpy: matmul, bias add and relu, then their
     # backward in reverse (relu's subgradient at 0 is 0).
-    hv, wv, bv = operands
     z = hv @ wv + bv
     g = coeff * (z > 0.0) if relu else coeff
-    assert np.array_equal(out.value, np.maximum(z, 0.0) if relu else z)
-    assert np.array_equal(grads["h"], g @ wv.T)
-    assert np.array_equal(grads["w"], hv.T @ g)
-    assert np.array_equal(grads["b"], g.sum(axis=0))
-
-
-def test_dense_shape_mismatch_is_structured():
-    h, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4)))
-    for bad in (
-        (h, w, ad.constant(np.ones(3))),  # bias width != output width
-        (h, w, ad.constant(np.ones((1, 4)))),  # bias must be 1-D
-        (h, ad.constant(np.ones((2, 4))), ad.constant(np.ones(4))),  # inner dimensions differ
-        (ad.constant(np.ones(3)), w, ad.constant(np.ones(4))),  # h must be 2-D
-    ):
-        with pytest.raises(ad.ShapeMismatchError) as exc:
-            ad.dense(*bad)
-        assert exc.value.op == "dense"
-        assert exc.value.shapes == tuple(n.value.shape for n in bad)
+    assert np.array_equal(out, np.maximum(z, 0.0) if relu else z)
+    assert np.array_equal(g_h, g @ wv.T)
+    assert np.array_equal(grads["l0.w"], hv.T @ g)
+    assert np.array_equal(grads["l0.b"], g.sum(axis=0))
 
 
 def test_nonfinite_gradient_names_first_node_in_reverse_order():

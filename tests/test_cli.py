@@ -157,13 +157,13 @@ def test_run_refuses_unusable_inputs_before_writing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def _fake_nuisance_dir(path):
+def _fake_nuisance_dir(path, z_dim=1, x_dim=1):
     rng = np.random.default_rng(0)
     path.mkdir()
-    nets.save_checkpoint(nets.TwoBranchNet.create(1, 1, rng, nets.OUTCOME_SPEC), path / "mu.ckpt")
-    nets.save_checkpoint(nets.TwoBranchNet.create(1, 1, rng, nets.PROPENSITY_SPEC), path / "pi.ckpt")
-    nets.save_checkpoint(nets.EtaNet.create(1, rng), path / "eta.ckpt")
-    nets.save_checkpoint(nets.PartitionNet.create(1, 2, rng), path / "partition.ckpt")
+    nets.save_checkpoint(nets.TwoBranchNet.create(x_dim, z_dim, rng, nets.OUTCOME_SPEC), path / "mu.ckpt")
+    nets.save_checkpoint(nets.TwoBranchNet.create(x_dim, z_dim, rng, nets.PROPENSITY_SPEC), path / "pi.ckpt")
+    nets.save_checkpoint(nets.EtaNet.create(z_dim, rng), path / "eta.ckpt")
+    nets.save_checkpoint(nets.PartitionNet.create(z_dim, 2, rng), path / "partition.ckpt")
 
 
 def test_bounds_refuses_malformed_or_wrong_kind_checkpoints(tmp_path, capsys):
@@ -185,6 +185,60 @@ def test_bounds_refuses_malformed_or_wrong_kind_checkpoints(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("refused: truncated checkpoint") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bounds_and_fit_partition_refuse_nets_of_other_input_widths(tmp_path, capsys):
+    # Dataset-3 shaped nets (20 instrument columns) on dataset-1 data (one).
+    d1, out = tmp_path / "d1", tmp_path / "out"
+    assert run_cli("generate", "--dataset", "1", "--n", "50", "--seed", "0", "--out", str(d1)) == 0
+    wide, fits, two_x = tmp_path / "wide", tmp_path / "fits", tmp_path / "two_x"
+    _fake_nuisance_dir(wide, z_dim=20)
+    _fake_nuisance_dir(fits)
+    _fake_nuisance_dir(two_x, x_dim=2)
+    capsys.readouterr()
+    for argv, refusal in [
+        (["bounds", "--nuisance", str(wide), "--partition", str(wide / "partition.ckpt")],
+         "the partition net takes 20 z columns; the data has 1"),
+        (["bounds", "--nuisance", str(fits), "--partition", str(wide / "partition.ckpt")],
+         "the partition net takes 20 z columns; the data has 1"),
+        (["bounds", "--nuisance", str(wide), "--partition", str(fits / "partition.ckpt")],
+         "the mu net takes 20 z columns; the data has 1"),
+        (["bounds", "--nuisance", str(two_x), "--partition", str(fits / "partition.ckpt")],
+         "the mu net takes 2 x columns; the data has 1"),
+        (["fit-partition", "--nuisance", str(wide), "--k", "2"], "the mu net takes 20 z columns; the data has 1"),
+    ]:
+        assert run_cli(argv[0], "--data", str(d1), "--out", str(out), *argv[1:]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"refused: {refusal}\n"
+        assert not out.exists()
+    assert run_cli("bounds", "--data", str(d1), "--nuisance", str(fits), "--partition", str(fits / "partition.ckpt"),
+                   "--out", str(out)) == 0
+
+
+def test_evaluate_refuses_bounds_of_other_data(tmp_path, capsys):
+    dirs = {name: tmp_path / name for name in ("d3", "d3_seed1", "d1_n50", "d1_seed1")}
+    for (dataset, n, seed), path in zip([(3, 60, 0), (3, 60, 1), (1, 50, 0), (1, 60, 1)], dirs.values()):
+        assert run_cli("generate", "--dataset", str(dataset), "--n", str(n), "--seed", str(seed),
+                       "--out", str(path)) == 0
+    for name in ("d3", "d3_seed1"):
+        assert run_cli("bounds", "--data", str(dirs[name]), "--method", "oracle",
+                       "--out", str(tmp_path / f"oracle_{name}")) == 0
+    own, other = tmp_path / "oracle_d3" / "bounds.csv", tmp_path / "oracle_d3_seed1" / "bounds.csv"
+    out = tmp_path / "report"
+    capsys.readouterr()
+    for data_dir, extra, refusal in [
+        ("d1_n50", [], "the bounds are for other data: their 24 x values are not this data's 20 test points"),
+        ("d1_seed1", [], "the bounds are for other data: their 24 x values are not this data's 24 test points"),
+        ("d3", ["--oracle-bounds", str(other)],
+         "the oracle bounds are for other data: their 24 x values are not this data's 24 test points"),
+    ]:
+        assert run_cli("evaluate", "--bounds", str(own), "--data", str(dirs[data_dir]), "--out", str(out),
+                       *extra) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"refused: {refusal}\n"
+        assert not out.exists()
+    # Bounds written with .17g read back to the exact test x: the own files are scored.
+    assert run_cli("evaluate", "--bounds", str(own), "--oracle-bounds", str(own), "--data", str(dirs["d3"]),
+                   "--out", str(out)) == 0
+    assert json.loads((out / "metrics.json").read_text())["oracle_mse"] == 0.0
 
 
 def test_reproduce_on_two_jobs_reports_a_training_abort(tmp_path, capsys):
@@ -239,19 +293,19 @@ def test_checks_fast_mode_is_the_cheap_subset_of_one_list(monkeypatch):
             return [checks.CheckResult(name, True, "")]
         return check
 
-    for name in ("gradient_checks", "bound_identity_checks", "quadrature_agreement_check", "variance_checks",
-                 "decomposition_checks", "oracle_validity_checks", "population_oracle_checks"):
+    for name in ("gradient_checks", "net_gradient_checks", "bound_identity_checks", "quadrature_agreement_check",
+                 "variance_checks", "decomposition_checks", "oracle_validity_checks", "population_oracle_checks"):
         monkeypatch.setattr(checks, name, stub(name))
     monkeypatch.setattr(checks, "composite_loss_gradient_check", lambda: stub("composite")()[0])
     full = [r.name for r in checks.run_all_checks()]
-    assert full == ["gradient_checks", "composite", "bound_identity_checks", "quadrature_agreement_check",
-                    "variance_checks", "decomposition_checks", "oracle_validity_checks",
-                    "population_oracle_checks"]
+    assert full == ["gradient_checks", "net_gradient_checks", "composite", "bound_identity_checks",
+                    "quadrature_agreement_check", "variance_checks", "decomposition_checks",
+                    "oracle_validity_checks", "population_oracle_checks"]
     calls.clear()
     fast = [r.name for r in checks.run_all_checks(fast=True)]
-    assert fast == ["gradient_checks", "bound_identity_checks", "quadrature_agreement_check", "variance_checks",
-                    "decomposition_checks"]
-    assert dict(calls) == {"gradient_checks": {}, "bound_identity_checks": {},
+    assert fast == ["gradient_checks", "net_gradient_checks", "bound_identity_checks", "quadrature_agreement_check",
+                    "variance_checks", "decomposition_checks"]
+    assert dict(calls) == {"gradient_checks": {}, "net_gradient_checks": {}, "bound_identity_checks": {},
                            "quadrature_agreement_check": {"n": 20_000}, "variance_checks": {"replicates": 2_000},
                            "decomposition_checks": {"replicates": 400}}
 

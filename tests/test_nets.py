@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ivbounds import InputError
 from ivbounds import autodiff as ad
 from ivbounds import nets
+from ivbounds.data import sigmoid
 from ivbounds.rng import stream_rng
 
 
@@ -187,19 +188,24 @@ def test_adam_refusal_names_the_parameter_and_changes_nothing():
     assert state.t == 1
 
 
-@pytest.mark.parametrize("make, nodes", [
-    (lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.OUTCOME_SPEC), 39),
-    (lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.PROPENSITY_SPEC), 32),
-    (lambda rng: nets.EtaNet.create(1, rng), 18),
-])
-def test_stage1_loss_graph_node_count(make, nodes):
-    # One fused dense node per layer; unfusing the layers would show here.
+@pytest.mark.parametrize("make", [
+    lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.OUTCOME_SPEC),
+    lambda rng: nets.TwoBranchNet.create(1, 1, rng, nets.PROPENSITY_SPEC),
+    lambda rng: nets.EtaNet.create(1, rng),
+], ids=["outcome", "propensity", "eta"])
+def test_stage1_loss_and_grad_builds_no_graph(make, monkeypatch):
+    # A stage-1 step is numpy alone; the autodiff graph holds only the stage-2 loss math.
+    built = []
+    monkeypatch.setattr(ad.Node, "__init__", lambda self, op, *args, **kwargs: built.append(op))
     rng = stream_rng(0, "node-count")
     n = nets.TrainConfig().batch_size
     batch = {"x": rng.normal(size=n), "z": rng.normal(size=n), "a": (rng.random(n) < 0.5) * 1.0,
              "y": rng.normal(size=n)}
-    root, _ = make(stream_rng(1, "init")).loss_graph(batch)
-    assert len(ad.topo_order(root)) == nodes
+    net = make(stream_rng(1, "init"))
+    loss, grads = net.loss_and_grad(batch)
+    assert built == []
+    assert np.isfinite(loss)
+    assert {name: g.shape for name, g in grads.items()} == {name: p.shape for name, p in net.params.items()}
 
 
 # ---------------------------------------------------------------- training loop
@@ -215,12 +221,11 @@ class _LinearNet(nets._Net):
     def meta(self):
         return {}
 
-    def loss_graph(self, batch):
-        pnodes = self.param_nodes()
-        x = ad.input_node(batch["x"].reshape(-1, 1))
-        pred = ad.dense(x, pnodes["w"], pnodes["b"])
-        diff = ad.sub(pred, ad.constant(batch["y"].reshape(-1, 1)))
-        return ad.reduce_mean(ad.mul(diff, diff)), pnodes
+    def loss_and_grad(self, batch):
+        x = batch["x"].reshape(-1, 1)
+        diff = x @ self.params["w"] + self.params["b"] - batch["y"].reshape(-1, 1)
+        g = 2.0 * diff / diff.size
+        return float(np.mean(diff * diff)), {"w": x.T @ g, "b": g.sum(axis=0)}
 
 
 def _linear_data(seed, n=400):
@@ -235,7 +240,7 @@ def test_training_recovers_linear_regression():
     val = _linear_data(1, n=100)
     net = _LinearNet.create(stream_rng(2, "init"))
     config = nets.TrainConfig(max_epochs=100, batch_size=64, k=1, seed=5)
-    nets.train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, val, config)
+    nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
     # Closed-form least squares oracle on the train split.
     slope_ls = np.polyfit(train["x"], train["y"], 1)[0]
     assert abs(net.params["w"][0, 0] - slope_ls) < 0.05
@@ -249,7 +254,7 @@ def test_training_is_deterministic():
     def run():
         net = _LinearNet.create(stream_rng(2, "init"))
         config = nets.TrainConfig(max_epochs=20, batch_size=64, k=1, seed=5)
-        nets.train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, val, config)
+        nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
         return net.params
 
     p1, p2 = run(), run()
@@ -270,7 +275,8 @@ def test_early_stopping_contract():
         calls.append(m.copy_params())
         return float(len(calls))
 
-    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, val, config, val_loss_fn=rigged_val)
+    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config,
+                                         val_loss_fn=rigged_val)
     assert len(log.val_loss) == 6
     assert log.best_epoch == 0
     for name, arr in calls[0].items():
@@ -282,8 +288,8 @@ def test_early_stopping_returns_minimum_validation_loss_weights():
     val = _linear_data(4, n=100)
     net = _LinearNet.create(stream_rng(6, "init"))
     config = nets.TrainConfig(max_epochs=30, batch_size=64, k=1, seed=7)
-    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, val, config)
-    final_val = float(net.loss_graph(val)[0].value)
+    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
+    final_val = net.loss_and_grad(val)[0]
     assert final_val <= min(log.val_loss) + 1e-12
 
 
@@ -294,7 +300,7 @@ def test_training_aborts_on_nan_loss():
 
     config = nets.TrainConfig(max_epochs=3, batch_size=4, k=1, seed=0)
     with pytest.raises(nets.TrainingAbort) as exc:
-        nets.train_with_early_stopping(net, lambda m, b: m.loss_graph(b), train, train, config)
+        nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, train, config)
     assert exc.value.epoch == 0
 
 
@@ -326,10 +332,10 @@ def test_two_branch_spec_sets_heads_kind_and_loss():
     batch = {"x": np.linspace(-1, 1, 6), "z": np.linspace(-1, 1, 6), "a": np.array([0, 1] * 3), "y": np.ones(6)}
     p = propensity.predict(batch["x"], batch["z"])
     expected = np.mean(-batch["a"] * np.log(p) - (1 - batch["a"]) * np.log(1 - p))
-    assert float(propensity.loss_graph(batch)[0].value) == pytest.approx(expected, abs=1e-12)
+    assert propensity.loss_and_grad(batch)[0] == pytest.approx(expected, abs=1e-12)
     m = outcome.predict(batch["x"], batch["z"])
     expected = np.mean((m[np.arange(6), batch["a"]] - batch["y"]) ** 2)
-    assert float(outcome.loss_graph(batch)[0].value) == pytest.approx(expected, abs=1e-12)
+    assert outcome.loss_and_grad(batch)[0] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
         nets.TwoBranchNet.create(1, 1, stream_rng(0, "init"), nets.MlpSpec(heads=1))
 
@@ -373,7 +379,7 @@ def _pairwise_64_row_chunks(net, xq, z):
         h = stack(pairs, "shared.", net.spec.shared_depth)
         heads = [dense(h, name) for name in net.head_names]
         if net.spec.head_transform == "sigmoid":
-            heads = [nets._sigmoid_np(v) for v in heads]
+            heads = [sigmoid(v) for v in heads]
         for m, v in zip(out, heads):
             m[lo:hi] = v.reshape(hi - lo, nz)
     return out
@@ -413,19 +419,181 @@ def test_partition_hard_assignment_is_argmax_of_logits():
 
 
 def test_graph_forward_matches_numpy_forward():
+    # Training runs the prediction forward: the collected activations end in
+    # the layer that feeds the heads, and the partition net's graph leaves
+    # hold its numpy logits.
     net = nets.TwoBranchNet.create(1, 1, stream_rng(4, "init"), nets.OUTCOME_SPEC)
     x, z = np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)
-    pnodes = net.param_nodes()
-    hx = nets._stack(ad.input_node(nets._as_col(x)), pnodes, "x_enc.", net.spec.x_depth)
-    hz = nets._stack(ad.input_node(nets._as_col(z)), pnodes, "z_enc.", net.spec.z_depth)
-    h = nets._stack(ad.concat([hx, hz], axis=1), pnodes, "shared.", net.spec.shared_depth)
-    graph = np.concatenate([nets._dense(h, pnodes, name).value for name in ("head0", "head1")], axis=1)
-    np.testing.assert_array_equal(graph, net.predict(x, z))
+    acts_x, acts_z, acts_h = [], [], []
+    heads = net._heads_np(np.concatenate(net._encode_np(x, z, acts_x, acts_z), axis=1), acts_h)
+    np.testing.assert_array_equal(np.concatenate(heads, axis=1), net.predict(x, z))
+    assert [len(acts) for acts in (acts_x, acts_z, acts_h)] == [3, 4, 3]
+    np.testing.assert_array_equal(acts_h[0], np.concatenate([acts_x[-1], acts_z[-1]], axis=1))
     partition_net = nets.PartitionNet.create(1, 3, stream_rng(4, "init"))
-    logits, aux = partition_net.forward_graph(partition_net.param_nodes(), z)
+    weights, aux, acts = partition_net.assignment_graph(z, None, 1.0, hard=False)
+    leaves = {node.name: node for node in ad.topo_order(weights) if node.op == "input"}
     np_logits, np_aux = partition_net.forward(z)
-    np.testing.assert_array_equal(logits.value, np_logits)
+    np.testing.assert_array_equal(leaves["logits"].value, np_logits)
     np.testing.assert_array_equal(aux.value, np_aux)
+    assert leaves["logits"].trainable and aux.trainable and aux.name == "aux"
+    assert len(acts) == partition_net.depth + 1
+
+
+# ---------------------------------------------------------------- bitwise the fused-layer graph
+#
+# Until the nets got a hand-written backward, they trained through autodiff
+# graphs of one fused dense node per layer. The reference below transcribes
+# that graph op by op: each dense is matmul then bias, then relu; its
+# backward masks the gradient where the output is not > 0 and gives
+# (input, weight, bias) gradients; the two encoders meet in a concat whose
+# backward splits the gradient by columns; the loss ops contribute in the
+# order the graph's backward sweep ran them.
+
+
+def _ref_dense(h, w, b, relu):
+    z = h @ w + b
+    return np.maximum(z, 0.0) if relu else z
+
+
+def _ref_dense_backward(h, w, out, g, relu):
+    g = g * (out > 0.0) if relu else g
+    return g @ w.T, h.T @ g, g.sum(axis=0)
+
+
+def _ref_stack(params, h, prefix, depth):
+    """(input, output) of each fused relu layer."""
+    layers = []
+    for i in range(depth):
+        out = _ref_dense(h, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"], relu=True)
+        layers.append((h, out))
+        h = out
+    return layers
+
+
+def _ref_stack_backward(params, layers, prefix, g, grads):
+    for i in reversed(range(len(layers))):
+        h, out = layers[i]
+        g, grads[f"{prefix}{i}.w"], grads[f"{prefix}{i}.b"] = _ref_dense_backward(
+            h, params[f"{prefix}{i}.w"], out, g, relu=True)
+    return g
+
+
+def _ref_heads_backward(params, h, names, g_heads, grads):
+    """Linear heads on h; h's gradient sums one contribution per head."""
+    g_h = None
+    for name, g in zip(names, g_heads):
+        g_in, grads[f"{name}.w"], grads[f"{name}.b"] = _ref_dense_backward(h, params[f"{name}.w"], None, g, False)
+        g_h = g_in if g_h is None else g_h + g_in
+    return g_h
+
+
+def _ref_logistic(logit, a):
+    # mean(sub(softplus(w), mul(a, w))): mean spreads 1/n, sub negates its
+    # second operand's share, softplus multiplies by the sigmoid.
+    loss = np.mean(np.logaddexp(0.0, logit) - a * logit)
+    g = np.full_like(logit, 1.0 / logit.size)
+    s = np.where(logit >= 0, 1.0 / (1.0 + np.exp(-logit)), np.exp(logit) / (1.0 + np.exp(logit)))
+    return loss, g * s + (-g) * a
+
+
+def _ref_two_branch(net, batch):
+    p, spec = net.params, net.spec
+    lx = _ref_stack(p, batch["x"].reshape(-1, 1), "x_enc.", spec.x_depth)
+    lz = _ref_stack(p, batch["z"], "z_enc.", spec.z_depth)
+    width = lx[-1][1].shape[1]
+    ls = _ref_stack(p, np.concatenate([lx[-1][1], lz[-1][1]], axis=1), "shared.", spec.shared_depth)
+    h = ls[-1][1]
+    heads = [_ref_dense(h, p[f"{name}.w"], p[f"{name}.b"], relu=False) for name in net.head_names]
+    a = batch["a"].reshape(-1, 1)
+    if spec.head_transform == "sigmoid":
+        loss, g = _ref_logistic(heads[0], a)
+        g_heads = [g]
+    else:
+        # mean(mul(diff, diff)) with diff = sub(add(mul(y1, a), mul(y0, 1 - a)), y)
+        y0, y1 = heads
+        diff = (y1 * a + y0 * (1.0 - a)) - batch["y"].reshape(-1, 1)
+        loss = np.mean(diff * diff)
+        g = np.full_like(diff, 1.0 / diff.size)
+        g_diff = g * diff
+        g_diff = g_diff + g * diff  # one contribution per operand of mul(diff, diff)
+        g_heads = [g_diff * (1.0 - a), g_diff * a]
+    grads = {}
+    g_cat = _ref_stack_backward(p, ls, "shared.", _ref_heads_backward(p, h, net.head_names, g_heads, grads), grads)
+    _ref_stack_backward(p, lx, "x_enc.", g_cat[:, :width], grads)
+    _ref_stack_backward(p, lz, "z_enc.", g_cat[:, width:], grads)
+    return float(loss), grads
+
+
+def _ref_eta(net, batch):
+    p = net.params
+    layers = _ref_stack(p, batch["z"], "z_enc.", net.depth)
+    h = layers[-1][1]
+    loss, g = _ref_logistic(_ref_dense(h, p["head.w"], p["head.b"], relu=False), batch["a"].reshape(-1, 1))
+    grads = {}
+    _ref_stack_backward(p, layers, "z_enc.", _ref_heads_backward(p, h, ["head"], [g], grads), grads)
+    return float(loss), grads
+
+
+def _ref_partition_backward(net, z, g_logits, g_aux):
+    p = net.params
+    layers = _ref_stack(p, z, "z_enc.", net.depth)
+    names, g_heads = (["logits"], [g_logits]) if g_aux is None else (["logits", "aux"], [g_logits, g_aux])
+    grads = {}
+    _ref_stack_backward(p, layers, "z_enc.", _ref_heads_backward(p, layers[-1][1], names, g_heads, grads), grads)
+    return grads
+
+
+@st.composite
+def _quarter_grid_cases(draw):
+    """(rng, batch) with 2-40 samples of one arm or both; every value is a
+    multiple of 1/4, so some pre-activations are exact zeros."""
+    n = draw(st.integers(2, 40))
+    arms = draw(st.sampled_from(["control", "treated", "mixed"]))
+    z_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = {"control": np.zeros(n), "treated": np.ones(n), "mixed": (np.arange(n) % 2) * 1.0}[arms]
+    batch = {"x": rng.integers(-4, 5, n) / 4.0, "z": rng.integers(-4, 5, (n, z_dim)) / 4.0, "a": a,
+             "y": rng.integers(-4, 5, n) / 4.0}
+    return rng, batch
+
+
+def _on_quarter_grid(net, rng):
+    for name, arr in net.params.items():
+        net.params[name] = rng.integers(-4, 5, arr.shape) / 4.0
+    return net
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quarter_grid_cases())
+def test_loss_and_grad_is_bitwise_the_fused_layer_graph(case):
+    rng, batch = case
+    z_dim = batch["z"].shape[1]
+    for net, reference in [
+        (nets.TwoBranchNet.create(1, z_dim, rng, nets.OUTCOME_SPEC), _ref_two_branch),
+        (nets.TwoBranchNet.create(1, z_dim, rng, nets.PROPENSITY_SPEC), _ref_two_branch),
+        (nets.EtaNet.create(z_dim, rng), _ref_eta),
+    ]:
+        _on_quarter_grid(net, rng)
+        loss, grads = net.loss_and_grad(batch)
+        ref_loss, ref_grads = reference(net, batch)
+        assert loss == ref_loss, net.kind
+        assert grads.keys() == ref_grads.keys() == net.params.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), (net.kind, name)
+
+    net = _on_quarter_grid(nets.PartitionNet.create(z_dim, 3, rng), rng)
+    acts = []
+    logits, aux = net.forward(batch["z"], acts)
+    layers = _ref_stack(net.params, batch["z"], "z_enc.", net.depth)
+    assert np.array_equal(logits, _ref_dense(layers[-1][1], net.params["logits.w"], net.params["logits.b"], False))
+    assert np.array_equal(aux, _ref_dense(layers[-1][1], net.params["aux.w"], net.params["aux.b"], False))
+    g_logits, g_aux = (rng.integers(-4, 5, logits.shape) / 4.0 for _ in range(2))
+    for g in (g_aux, None):
+        grads = net.backward(acts, g_logits, g)
+        ref_grads = _ref_partition_backward(net, batch["z"], g_logits, g)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 # ---------------------------------------------------------------- checkpoints
