@@ -62,6 +62,7 @@ class RepresentationNuisance:
     mu0: np.ndarray  # (nq, k)
     valid_l: np.ndarray  # (k,) bool
     valid_m: np.ndarray  # (k,) bool
+    sums: tuple | None = None  # (num1, num0, pnum, den1, den0, mass) aggregate_cells divided
 
 
 @dataclass
@@ -158,6 +159,7 @@ def aggregate_cells(xq: np.ndarray, m1: np.ndarray, m0: np.ndarray, p: np.ndarra
         mu0=mu0,
         valid_l=(den1 > 0) & (mass > 0),
         valid_m=(den0 > 0) & (mass > 0),
+        sums=(num1, num0, pnum, den1, den0, mass),
     )
 
 

@@ -1,14 +1,14 @@
 """Self-contained verification suite behind the ``checks`` CLI command.
 
-Each check returns (name, passed, detail); the suite covers gradient
-correctness for every graph op kind and for the hand-written backward of
-each net kind (outcome, propensity, eta, and the partition net inside the
-composite loss), the plug-in aggregates against the
-population oracle's quadrature (``metrics.cell_nuisances``), both
-asymptotic variance formulas, the bias-variance identity, the core
-bound-algebra identities and that the oracle bounds of every dataset contain
-the CATE. ``run_all_checks`` is the one list; its fast mode drops the checks
-that train or run an oracle and cuts the sample and replicate counts.
+Each check returns (name, passed, detail); the suite covers the
+hand-written backward of the stage-2 loss (each term, the warm start and
+hard mode's straight-through contract) and of each stage-1 net, the plug-in
+aggregates against the population oracle's quadrature
+(``metrics.cell_nuisances``), both asymptotic variance formulas, the
+bias-variance identity, the core bound-algebra identities and that the
+oracle bounds of every dataset contain the CATE. ``run_all_checks`` is the
+one list; its fast mode drops the oracle checks and cuts the sample and
+replicate counts.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import bounds as bnd
 from . import data as dgp
-from . import metrics
+from . import metrics, nets, partition
 from .data import OutcomeRange
 from .nets import OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, PartitionNet, TrainConfig, TwoBranchNet, sample_gumbel
 from .rng import stream_rng
@@ -37,86 +36,109 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-GRADIENT_CASES = {
-    "matmul": lambda x: ad.reduce_sum(ad.matmul(x, ad.constant(np.arange(6.0).reshape(3, 2)))),
-    "add": lambda x: ad.reduce_sum(ad.add(ad.add(x, ad.constant(np.ones((2, 3)))), 0.5)),
-    "sub": lambda x: ad.reduce_sum(ad.sub(ad.sub(x, ad.constant(np.ones((2, 3)))), 0.25)),
-    "mul": lambda x: ad.reduce_sum(ad.mul(ad.mul(x, ad.constant(np.full((2, 3), 1.5))), 2.0)),
-    "div": lambda x: ad.reduce_sum(ad.div(ad.div(x, ad.constant(np.full((2, 3), 2.0))), 4.0)),
-    "neg": lambda x: ad.reduce_sum(ad.neg(x)),
-    "softmax": lambda x: ad.reduce_sum(ad.mul(ad.softmax(x), ad.constant(np.arange(6.0).reshape(2, 3)))),
-    "log_softmax": lambda x: ad.reduce_sum(ad.mul(ad.log_softmax(x), ad.constant(np.arange(6.0).reshape(2, 3)))),
-    "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0))),
-    "clip_min": lambda x: ad.reduce_sum(ad.clip_min(x, 0.1)),
-    "sum": lambda x: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=1), ad.constant(np.array([1.0, 2.0])))),
-    "mean": lambda x: ad.reduce_mean(ad.mul(ad.mul(x, x), ad.constant(np.arange(6.0).reshape(2, 3)))),
-    "min": lambda x: ad.reduce_sum(ad.reduce_min(x, axis=1)),
-    "max": lambda x: ad.reduce_sum(ad.reduce_max(x, axis=1)),
-    "gumbel_noise_add": lambda x: ad.reduce_sum(
-        ad.log_softmax(ad.gumbel_noise_add(x, np.linspace(-1, 1, 6).reshape(2, 3)))
-    ),
-}
+def central_differences(loss, arr: np.ndarray, step: float) -> np.ndarray:
+    """The gradient of ``loss()`` in ``arr`` by central differences, bumping
+    each entry of ``arr`` in place and restoring it."""
+    numeric = np.empty(arr.shape)
+    for i in range(arr.size):
+        base = arr.flat[i]
+        arr.flat[i] = base + step
+        up = loss()
+        arr.flat[i] = base - step
+        numeric.flat[i] = (up - loss()) / (2.0 * step)
+        arr.flat[i] = base
+    return numeric
 
 
-def _straight_through_check() -> CheckResult:
-    logits = ad.input_node(np.array([[0.2, 0.5], [0.9, 0.1]]), name="l", trainable=True)
-    soft = ad.softmax(logits)
-    hard = ad.straight_through(soft)
-    onehot_ok = set(np.unique(hard.value)) <= {0.0, 1.0}
-    coeff = ad.constant(np.arange(4.0).reshape(2, 2))
-    g_hard = ad.backward_grad(ad.reduce_sum(ad.mul(hard, coeff)))["l"]
-    logits2 = ad.input_node(logits.value, name="l", trainable=True)
-    g_soft = ad.backward_grad(ad.reduce_sum(ad.mul(ad.softmax(logits2), coeff)))["l"]
-    st_ok = onehot_ok and np.array_equal(g_hard, g_soft)
-    return CheckResult("gradient straight_through", st_ok, "exact one-hot, soft backward")
-
-
-def gradient_point(op: str) -> np.ndarray:
-    """The (2, 3) point the case for ``op`` is checked at: fixed per op name,
-    moved off the kink of ``clip_min`` at 0.1."""
-    point = stream_rng(0, f"gradient {op}").normal(size=(2, 3))
-    return np.where(np.abs(point - 0.1) < 1e-3, point + 0.05, point)
-
-
-def gradient_checks(tolerance: float = 1e-4) -> list[CheckResult]:
-    results = []
-    # Every finite-difference case differentiates through an input node.
-    covered = set(GRADIENT_CASES) | {"straight_through", "input"}
-    for op in sorted(GRADIENT_CASES):
-        err = graph_gradient_error(GRADIENT_CASES[op], gradient_point(op))
-        results.append(CheckResult(f"gradient {op}", err < tolerance, f"max relative error {err:.2e}"))
-    results.append(_straight_through_check())
-    missing = set(ad.OP_KINDS) - covered
-    results.append(
-        CheckResult("gradient coverage", not missing, "all op kinds checked" if not missing else f"missing {missing}")
-    )
-    return results
+def _relative_error(g: np.ndarray, numeric: np.ndarray) -> float:
+    return float(np.max(np.abs(g - numeric) / (np.abs(g) + 1e-8)))
 
 
 def finite_diff_error(loss, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], step: float) -> float:
-    """Max relative error |g - numeric| / (|g| + 1e-8) of ``grads`` (a missing one is zero) against central
-    differences of ``loss()``, bumping each entry of ``arrays`` in place and restoring it."""
-    errors = []
-    for name, arr in arrays.items():
-        numeric = np.empty(arr.shape)
-        for i in range(arr.size):
-            base = arr.flat[i]
-            arr.flat[i] = base + step
-            up = loss()
-            arr.flat[i] = base - step
-            numeric.flat[i] = (up - loss()) / (2.0 * step)
-            arr.flat[i] = base
-        g = grads.get(name, np.zeros(arr.shape))
-        errors.append(np.max(np.abs(g - numeric) / (np.abs(g) + 1e-8)))
-    return float(np.max(errors))
+    """Max relative error |g - numeric| / (|g| + 1e-8) of ``grads`` (a missing one is zero) against
+    ``central_differences`` of ``loss()`` in each entry of ``arrays``."""
+    return max(_relative_error(grads.get(name, np.zeros(arr.shape)), central_differences(loss, arr, step))
+               for name, arr in arrays.items())
 
 
-def graph_gradient_error(build, point: np.ndarray, step: float = 1e-5) -> float:
-    """``finite_diff_error`` at ``point`` of the graph that ``build`` makes
-    from an input node, ending in a scalar root."""
-    point = np.array(point, dtype=np.float64)
-    analytic = ad.backward_grad(build(ad.input_node(point, name="__fd__", trainable=True)))["__fd__"]
-    return finite_diff_error(lambda: float(build(ad.input_node(point)).value), {"x": point}, {"x": analytic}, step)
+def _loss_case():
+    """16 samples of random nuisance values, arms alternating, a fresh k = 3
+    partition net and Gumbel noise."""
+    n, rng = 16, stream_rng(0, "loss terms")
+    const = partition.BatchConstants(
+        m1=rng.normal(size=(n, n)), m0=rng.normal(size=(n, n)), p=rng.uniform(0.1, 0.9, (n, n)),
+        eta=rng.uniform(0.1, 0.9, n), a=(np.arange(n) % 2).astype(np.float64), z=rng.normal(size=(n, 1)),
+        x=rng.uniform(-1.0, 1.0, n))
+    return const, PartitionNet.create(1, 3, rng), sample_gumbel((n, 3), rng)
+
+
+LOSS_RANGE = OutcomeRange(-1.0, 2.0)
+LOSS_TERMS = {"l_b": "L_b", "l_reg": "L_reg", "l_aux": "L_aux"}
+
+
+def loss_term_checks(tolerance: float) -> list[CheckResult]:
+    """Each composite-loss term's gradient for every partition-net parameter,
+    in soft mode, against central differences of that term. A term's
+    gradient is the total's with the term's weight at 1 (the others at 0)
+    less the total's with every weight at 0, which is L_b's."""
+    const, net, noise = _loss_case()
+
+    def run(lam: float, gamma: float, step=partition.composite_loss_and_grad):
+        config = TrainConfig(k=net.k, batch_size=len(const), lam=lam, gamma=gamma)
+        return step(net, const, LOSS_RANGE, config, noise, hard=False)
+
+    l_b = run(0.0, 0.0)[2]
+    analytic = {"l_b": l_b, **{term: {name: g - l_b[name] for name, g in run(*weights)[2].items()}
+                               for term, weights in (("l_reg", (1.0, 0.0)), ("l_aux", (0.0, 1.0)))}}
+    errors = {term: finite_diff_error(lambda: run(0.0, 0.0, partition.composite_loss_graph)[1][term],
+                                      net.params, analytic[term], 1e-5) for term in LOSS_TERMS}
+    return [CheckResult(f"gradient {label} (soft mode, {len(const)} samples, k={net.k})", errors[term] < tolerance,
+                        f"max relative error {errors[term]:.2e}") for term, label in LOSS_TERMS.items()]
+
+
+def warm_start_check(tolerance: float) -> CheckResult:
+    """The warm start's cross-entropy gradient for every partition-net
+    parameter against central differences."""
+    const, net, _ = _loss_case()
+    labels = bnd.one_hot(np.arange(len(const)) % net.k, net.k)
+
+    def loss_and_grad():
+        acts: list[np.ndarray] = []
+        value, g = partition.cross_entropy(net.forward(const.z, acts)[0], labels)
+        return value, net.backward(acts, g)
+
+    err = finite_diff_error(lambda: loss_and_grad()[0], net.params, loss_and_grad()[1], 1e-5)
+    return CheckResult(f"gradient warm-start cross-entropy ({len(const)} samples, k={net.k})", err < tolerance,
+                       f"max relative error {err:.2e}")
+
+
+def straight_through_check(tolerance: float) -> CheckResult:
+    """Hard mode's straight-through contract: L_b is the width at the exact
+    one-hot weights, and the logits gradient is the softmax backward of L_b's
+    gradient in those weights (central differences of the validation loss;
+    every cell holds both arms, so none turns valid when a weight moves)."""
+    const, net, _ = _loss_case()
+    n, k = len(const), net.k
+    logits = 2.0 * bnd.one_hot(np.arange(n) % k, k) + stream_rng(0, "straight-through").uniform(-0.5, 0.5, (n, k))
+    config = TrainConfig(k=k, batch_size=n, lam=0.0, gamma=0.0)
+    _, parts, _, backward = partition.composite_loss(logits, logits, const, LOSS_RANGE, config, None, hard=True)
+    soft = nets.gumbel_softmax(logits, None, config.temperature)
+    weights = bnd.one_hot(np.argmax(soft, axis=1), k)
+
+    def l_b() -> float:
+        return partition.composite_losses(weights, logits, const, LOSS_RANGE, 0.0, 0.0)[0].l_b
+
+    exact = parts["l_b"] == l_b()
+    g_weights = central_differences(l_b, weights, 1e-6)
+    err = _relative_error(backward(1.0)[0], soft * (g_weights - (g_weights * soft).sum(axis=1, keepdims=True)))
+    return CheckResult(f"gradient straight-through (hard mode, {n} samples, k={k})", exact and err < tolerance,
+                       f"L_b at the one-hot weights {'equal' if exact else 'differs'}; max relative error {err:.2e}")
+
+
+def gradient_checks(tolerance: float = 1e-4) -> list[CheckResult]:
+    """The stage-2 loss's hand-written backward: one line per term, the warm
+    start and the straight-through contract."""
+    return loss_term_checks(tolerance) + [warm_start_check(tolerance), straight_through_check(tolerance)]
 
 
 def net_gradient_checks(tolerance: float = 1e-3) -> list[CheckResult]:
@@ -131,26 +153,6 @@ def net_gradient_checks(tolerance: float = 1e-3) -> list[CheckResult]:
                                       1e-5) for kind, net in candidates.items()}
     return [CheckResult(f"gradient {kind} net ({n} samples)", err < tolerance, f"max relative error {err:.2e}")
             for kind, err in errors.items()]
-
-
-def composite_loss_gradient_check(tolerance: float = 1e-3) -> CheckResult:
-    from . import nuisance as nuis_mod
-    from . import partition
-
-    split = dgp.split_dataset(dgp.generate_dataset1(400, 0), 0)
-    nuis = nuis_mod.fit_nuisances(split, TrainConfig(seed=0, max_epochs=3))
-    batch = split.train.subset(np.arange(16))
-    const = partition.batch_constants(nuis, batch)
-    config = TrainConfig(seed=0, k=2, batch_size=16)
-    net = PartitionNet.create(1, 2, stream_rng(5, "init"))
-    noise = sample_gumbel((16, 2), stream_rng(5, "noise"))
-    rng_range = OutcomeRange(0.0, 1.0)
-
-    _, _, grads = partition.composite_loss_and_grad(net, const, rng_range, config, noise, hard=False)
-    worst = finite_diff_error(
-        lambda: float(partition.composite_loss_graph(net, const, rng_range, config, noise, hard=False)[0].value),
-        net.params, grads, 1e-6)
-    return CheckResult("gradient composite loss (16 samples, k=2)", worst < tolerance, f"max relative error {worst:.2e}")
 
 
 def quadrature_agreement_check(n: int = 100_000) -> list[CheckResult]:
@@ -270,12 +272,9 @@ def population_oracle_checks() -> list[CheckResult]:
 
 
 def run_all_checks(fast: bool = False) -> list[CheckResult]:
-    """The whole suite. ``fast`` skips the composite-loss gradient (it
-    trains nuisances) and the oracle checks, and cuts the sample and
-    replicate counts of the Monte Carlo checks."""
+    """The whole suite. ``fast`` skips the oracle checks and cuts the sample
+    and replicate counts of the Monte Carlo checks."""
     results = gradient_checks() + net_gradient_checks()
-    if not fast:
-        results.append(composite_loss_gradient_check())
     results += bound_identity_checks()
     results += quadrature_agreement_check(n=20_000 if fast else 100_000)
     results += variance_checks(replicates=2_000 if fast else 10_000)

@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import InputError, autodiff, bounds, checks, data, experiments, metrics
 from .nets import PartitionNet, TrainConfig, TrainingAbort, load_checkpoint
 
@@ -57,6 +59,23 @@ def _data_config(path: Path) -> dict:
     """The config ``generate`` recorded in a data dir's manifest; empty without one."""
     manifest = path / "manifest.json"
     return json.loads(manifest.read_text())["config"] if manifest.exists() else {}
+
+
+def _read_bounds_of(data_dir: Path, test: data.SampleBatch, bounds_csv: str, name: str) -> bounds.BoundPair:
+    """The bounds in ``bounds_csv`` if their x column is the test split's and
+    the manifest next to them, if any (``bounds``: the data's ``generate``
+    config; ``run``: its dataset, n and seed), names ``data_dir``'s data."""
+    pair = bounds.BoundPair.from_csv(bounds_csv)
+    if not np.array_equal(pair.x, test.x):
+        raise InputError(f"the {name} are for other data: their {len(pair.x)} x values are not "
+                         f"this data's {len(test.x)} test points")
+    manifest = Path(bounds_csv).parent / "manifest.json"
+    config = json.loads(manifest.read_text())["config"] if manifest.exists() else {}
+    made_on, data_config = config.get("data_config", config), _data_config(data_dir)
+    if any(made_on.get(key, value) != value for key, value in data_config.items()):
+        describe = "dataset {dataset} (n={n}, seed {seed})".format
+        raise InputError(f"the {name} were computed on {describe(**made_on)}; this data is {describe(**data_config)}")
+    return pair
 
 
 def _split_dir(path: Path) -> data.DatasetSplit:
@@ -115,7 +134,7 @@ def cmd_bounds(args) -> int:
     pair, _ = experiments.bounds_stage(_data_config(data_dir).get("dataset"), args.method, model,
                                        _split_dir(data_dir), out)
     experiments.write_manifest(out, "bounds", {
-        "data": str(args.data), "method": args.method,
+        "data": str(args.data), "data_config": _data_config(data_dir), "method": args.method,
         "nuisance": str(args.nuisance) if args.nuisance else None,
         "partition": str(args.partition) if args.partition else None,
     })
@@ -124,10 +143,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    split = _split_dir(Path(args.data))
+    data_dir = Path(args.data)
+    split = _split_dir(data_dir)
     report = experiments.report_stage(
-        bounds.BoundPair.from_csv(args.bounds), split.test,
-        bounds.BoundPair.from_csv(args.oracle_bounds) if args.oracle_bounds else None,
+        _read_bounds_of(data_dir, split.test, args.bounds, "bounds"), split.test,
+        _read_bounds_of(data_dir, split.test, args.oracle_bounds, "oracle bounds") if args.oracle_bounds else None,
         out=Path(args.out), dataset=args.dataset or 0, method=args.method or "unknown", k=args.k or 0,
         seed=_seed(args, split),
     )

@@ -5,16 +5,18 @@ propensity nets are one class, ``TwoBranchNet``: covariate and instrument
 go through separate encoder branches joined by shared layers, and the
 ``MlpSpec`` heads/head transform make it the outcome net (one identity head
 per treatment arm) or the propensity net (one sigmoid head). The partition
-net maps instruments to k cells through a Gumbel-softmax layer and carries
-an auxiliary linear classification head on its last hidden layer.
+net maps instruments to k cells through a Gumbel-softmax layer
+(``gumbel_softmax``) and carries an auxiliary linear classification head on
+its last hidden layer.
 
 Every net runs forward through ``_stack_np``/``_dense_np`` in numpy, to
 predict and to train, and backward through ``_heads_backward`` and
 ``_stack_backward`` on the activations the forward collected. The backward
-keeps the arithmetic of a fused matmul-bias-relu autodiff node (relu's
-subgradient is 0 at 0, read off the output); the tests hold it bitwise to
-that graph. The stage-1 nets' ``loss_and_grad`` builds no graph; the
-partition net's head outputs are leaves of the stage-2 loss graph.
+keeps the arithmetic of a fused matmul-bias-relu layer (relu's subgradient
+is 0 at 0, read off the output); the tests hold it bitwise to an op-by-op
+reference. Stage-1 nets validate on ``loss``, ``loss_and_grad`` without the
+backward; ``PartitionNet.backward`` takes the head gradients of the stage-2
+loss (``partition.composite_loss``) into the net.
 
 ``predict_pairwise`` runs the forward over blocks of
 ``PAIRWISE_BLOCK_PAIRS`` (x, z) pairs: small enough to stay in cache, and
@@ -241,21 +243,27 @@ class TwoBranchNet(_Net):
         the head of the sample's arm (outcome), or logistic loss (propensity)."""
         acts_x, acts_z, acts_h = [], [], []
         hx, hz = self._encode_np(batch["x"], batch["z"], acts_x, acts_z)
-        heads = self._heads_np(np.concatenate([hx, hz], axis=1), acts_h)
-        a = _as_col(batch["a"])
-        if self.spec.head_transform == "sigmoid":
-            loss, g = _log_loss_and_grad(heads[0], a)
-            g_heads = [g]
-        else:
-            diff = (heads[1] * a + heads[0] * (1.0 - a)) - _as_col(batch["y"])
-            g = np.full_like(diff, 1.0 / diff.size) * diff
-            g += g
-            loss, g_heads = float(np.mean(diff * diff)), [g * (1.0 - a), g * a]
+        loss, g_heads = self._loss_and_head_grads(self._heads_np(np.concatenate([hx, hz], axis=1), acts_h), batch)
         grads: dict[str, np.ndarray] = {}
         g = _heads_backward(acts_h, self.params, "shared.", dict(zip(self.head_names, g_heads)), grads)
         _stack_backward(acts_x, self.params, "x_enc.", g[:, : hx.shape[1]], grads)
         _stack_backward(acts_z, self.params, "z_enc.", g[:, hx.shape[1] :], grads)
         return loss, grads
+
+    def loss(self, batch: dict[str, np.ndarray]) -> float:
+        """The loss of ``loss_and_grad`` alone: the forward pass, no backward."""
+        return self._loss_and_head_grads(self._heads_np(np.concatenate(self._encode_np(batch["x"], batch["z"]),
+                                                                       axis=1)), batch)[0]
+
+    def _loss_and_head_grads(self, heads: list[np.ndarray], batch: dict[str, np.ndarray]):
+        a = _as_col(batch["a"])
+        if self.spec.head_transform == "sigmoid":
+            loss, g = _log_loss_and_grad(heads[0], a)
+            return loss, [g]
+        diff = (heads[1] * a + heads[0] * (1.0 - a)) - _as_col(batch["y"])
+        g = np.full_like(diff, 1.0 / diff.size) * diff
+        g += g
+        return float(np.mean(diff * diff)), [g * (1.0 - a), g * a]
 
     def _encode_np(self, x: np.ndarray, z: np.ndarray, acts_x: list | None = None,
                    acts_z: list | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -350,6 +358,11 @@ class EtaNet(_Net):
         _heads_backward(acts, self.params, "z_enc.", {"head": g}, grads)
         return loss, grads
 
+    def loss(self, batch: dict[str, np.ndarray]) -> float:
+        """The loss of ``loss_and_grad`` alone: the forward pass, no backward."""
+        h = _stack_np(_as_col(batch["z"]), self.params, "z_enc.", self.depth)
+        return _log_loss_and_grad(_dense_np(h, self.params, "head"), _as_col(batch["a"]))[0]
+
     def predict(self, z: np.ndarray) -> np.ndarray:
         h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth)
         return sigmoid(_dense_np(h, self.params, "head"))[:, 0]
@@ -406,28 +419,20 @@ class PartitionNet(_Net):
         """Deterministic evaluation-time labels: argmax of logits, no noise."""
         return np.argmax(self.logits(z), axis=1)
 
-    def assignment_graph(self, z: np.ndarray, noise: np.ndarray | None, temperature: float, hard: bool):
-        """Build the (cell weights, aux logits, activations) sub-graph for a batch.
-
-        ``forward``'s outputs are its trainable leaves ``logits`` and ``aux``.
-        Weights are softmax((logits + noise) / temperature), the Gumbel-softmax
-        relaxation; ``hard`` makes the forward value the exact one-hot of the
-        row argmax while the backward pass stays that of the soft weights.
-        """
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        acts: list[np.ndarray] = []
-        logits, aux_logits = (ad.input_node(v, name=name, trainable=True)
-                              for name, v in zip(("logits", "aux"), self.forward(z, acts)))
-        noisy = logits if noise is None else ad.gumbel_noise_add(logits, noise)
-        soft = ad.softmax(ad.div(noisy, temperature))
-        weights = ad.straight_through(soft) if hard else soft
-        return weights, aux_logits, acts
-
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(shape)
     return -np.log(-np.log(u + 1e-20) + 1e-20)
+
+
+def gumbel_softmax(logits: np.ndarray, noise: np.ndarray | None, temperature: float) -> np.ndarray:
+    """Soft cell weights softmax((logits + noise) / temperature) per row: the
+    Gumbel-softmax relaxation of sampling a cell (no noise: plain softmax)."""
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    scaled = (logits if noise is None else logits + noise) / float(temperature)
+    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass
@@ -532,9 +537,10 @@ def train_with_early_stopping(
     ``loss_fn(net, batch) -> (loss, grads)``, the gradients by parameter
     name; a ``NonFiniteError`` inside it or a non-finite loss raises
     ``TrainingAbort``. The net is left holding the parameters of the epoch
-    with the smallest validation loss. Validation defaults to the loss on
-    the full validation arrays; pass ``val_loss_fn(net) -> float`` to
-    override (the second stage validates in hard assignment mode).
+    with the smallest validation loss. Validation defaults to
+    ``net.loss(val)``, the loss on the full validation arrays without its
+    gradient; pass ``val_loss_fn(net) -> float`` to override (the second
+    stage validates in hard assignment mode).
     """
     n = len(next(iter(train.values())))
     n_val = len(next(iter(val.values())))
@@ -562,10 +568,7 @@ def train_with_early_stopping(
                 raise TrainingAbort(epoch, b, "loss is not finite")
             adam_step(net.params, grads, state, config.learning_rate)
             epoch_losses.append(value)
-        if val_loss_fn is not None:
-            v = float(val_loss_fn(net))
-        else:
-            v = float(loss_fn(net, val)[0])
+        v = float(val_loss_fn(net) if val_loss_fn is not None else net.loss(val))
         log.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else np.nan)
         log.val_loss.append(v)
         if v < best_val:

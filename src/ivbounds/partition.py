@@ -1,23 +1,20 @@
 """Second stage: train the partition net on the composite loss.
 
-Per batch, soft (straight-through) cell weights feed the plug-in
-aggregates, the pairwise bound matrices and their min/max reduction; the
-training loss is
+Per batch, straight-through cell weights feed the plug-in aggregates
+(``bounds.aggregate_cells``) and their min/max bounds
+(``bounds.bounds_on_grid``); the training loss is
 
     L = L_b + lam * L_reg + gamma * L_aux
 
 with L_b the mean bound width over the batch, L_reg the negative
 log-likelihood of the batch cell masses and L_aux the cross-entropy of the
 auxiliary head against the (stop-gradient) sampled assignments. First-stage
-nuisances are frozen throughout; validation and final bound evaluation use
-noise-free argmax assignments.
-
-``composite_losses`` (validation) and ``evaluate_bounds`` aggregate through
-the one numpy kernel, ``bounds.aggregate_cells``, and reduce with
-``bounds.bounds_on_grid``; ``composite_loss_graph`` is their differentiable
-twin on autodiff nodes, used for the training steps. Its graph, like the
-warm start's cross-entropy, starts at the net's head outputs, and
-``PartitionNet.backward`` takes their gradients into the net.
+nuisances are frozen throughout; validation (``composite_losses``) and final
+bound evaluation use noise-free argmax assignments and the same kernels.
+``composite_loss`` is a step's loss in numpy, with a hand-written backward to
+the net's two outputs; ``composite_loss_graph`` enters it into the autodiff
+engine as one fused node on them (see ``autodiff`` for why the engine
+stays). The warm start differentiates ``cross_entropy`` directly.
 
 ``train_partition`` computes the batch constants once, decides the restart
 candidates (random init, eta warm start when eta takes at least k distinct
@@ -37,7 +34,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -108,83 +107,144 @@ def batch_constants(nuisances: NuisanceSet, batch: SampleBatch) -> BatchConstant
     )
 
 
-def _selection(valid: np.ndarray) -> np.ndarray:
-    k = len(valid)
-    return np.eye(k)[:, valid]
+def _mass_penalty(masses: np.ndarray) -> float:
+    """L_reg, -sum log max(mass, MASS_CLAMP) over the cells; a clamp is logged."""
+    if float(np.min(masses)) < MASS_CLAMP:
+        logger.warning("cell mass clamped at %g during loss evaluation", MASS_CLAMP)
+    return -np.sum(np.log(np.maximum(masses, MASS_CLAMP)))
 
 
-def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
-                         config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
-    """Differentiable composite loss for one batch.
+def cross_entropy(logits: np.ndarray, onehot: np.ndarray, g: float = 1.0) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the rows of ``logits`` against one-hot rows, and
+    the gradient of ``g`` times it with respect to ``logits``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    g_logp = np.full(logp.shape, float(-g) / len(logp)) * onehot
+    return float(-np.mean(np.sum(onehot * logp, axis=1))), g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)
 
-    Returns (root, parts, acts, info), with ``acts`` the partition net's
-    activations for ``PartitionNet.backward``; ``parts['l_b']`` is None when
-    no valid (l, m) pair exists, in which case the batch trains on the
-    regularizers alone. Cells with an empty arm are dropped from the
-    pairwise reduction via constant selection matrices.
+
+def composite_loss(logits: np.ndarray, aux: np.ndarray, const: BatchConstants, rng_range: OutcomeRange,
+                   config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
+    """The composite loss of one batch from the partition net's two outputs:
+    (total, parts, info, backward), ``backward(g)`` the gradients of
+    ``g * total`` in ``logits`` and ``aux``. ``parts['l_b']`` is None when no
+    valid (l, m) pair exists: the batch then trains on the regularizers alone.
+
+    The cell weights are ``nets.gumbel_softmax`` of the logits; ``hard`` makes
+    them the exact one-hot of the row argmax, with the soft weights' backward
+    (straight-through). The backward sums each gradient's contributions in one
+    fixed order, held bitwise to an op-by-op reference by the tests: another
+    order moves the last bits of every trained partition.
     """
-    n = len(const)
-    weights, aux_logits, acts = net.assignment_graph(const.z, noise, config.temperature, hard)
+    n, k = logits.shape
+    lam, gamma, temperature = float(config.lam), float(config.gamma), float(config.temperature)
+    soft = nets.gumbel_softmax(logits, noise, temperature)
+    weights = bnd.one_hot(np.argmax(soft, axis=1), k) if hard else soft
 
     # Mass penalty on the soft weights: straight-through hard masses can hit
     # exactly zero, where the clamped log has no gradient and a collapsed
     # cell would never be repopulated. The soft masses keep the restoring
     # force alive; in soft mode the two coincide.
-    soft = weights.parents[0] if weights.op == "straight_through" else weights
-    masses = ad.matmul(ad.constant(np.full((1, n), 1.0 / n)), soft)
-    if float(np.min(masses.value)) < MASS_CLAMP:
-        logger.warning("cell mass clamped at %g during loss evaluation", MASS_CLAMP)
-    l_reg = ad.neg(ad.reduce_sum(ad.log(ad.clip_min(masses, MASS_CLAMP))))
+    c_n = np.full((1, n), 1.0 / n)
+    masses = c_n @ soft
+    l_reg = _mass_penalty(masses)
 
-    # Stop-gradient labels: the sampled discrete assignment, as a constant.
-    labels = ad.constant(bnd.one_hot(np.argmax(weights.value, axis=1), net.k))
-    l_aux = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(labels, ad.log_softmax(aux_logits)), axis=1)))
+    # Stop-gradient labels: the sampled discrete assignment.
+    l_aux, g_aux = cross_entropy(aux, bnd.one_hot(np.argmax(weights, axis=1), k), gamma)
 
-    # Per-cell arm and sample counts; their values also give the validity masks.
-    arm1 = ad.matmul(ad.constant(const.a.reshape(1, n)), weights)
-    arm0 = ad.matmul(ad.constant((1.0 - const.a).reshape(1, n)), weights)
-    mass_counts = ad.matmul(ad.constant(np.ones((1, n))), weights)
-    valid_l = (arm1.value[0] > 0) & (mass_counts.value[0] > 0)
-    valid_m = (arm0.value[0] > 0) & (mass_counts.value[0] > 0)
-    info = {"valid_l": valid_l, "valid_m": valid_m, "masses": masses.value.copy().ravel()}
-    l_b = None
-    if valid_l.any() and valid_m.any():
-        ones_col = ad.constant(np.ones((n, 1)))
-        s_l = ad.constant(_selection(valid_l))
-        s_m = ad.constant(_selection(valid_m))
-
-        num1 = ad.matmul(ad.matmul(ad.constant(const.m1 * const.eta[None, :]), weights), s_l)
-        den1 = ad.matmul(ones_col, ad.matmul(arm1, s_l))
-        mu1 = ad.div(num1, den1)
-        num0 = ad.matmul(ad.matmul(ad.constant(const.m0 * (1.0 - const.eta)[None, :]), weights), s_m)
-        den0 = ad.matmul(ones_col, ad.matmul(arm0, s_m))
-        mu0 = ad.div(num0, den0)
-
-        pnum = ad.matmul(ad.constant(const.p), weights)
-        pi_l = ad.div(ad.matmul(pnum, s_l), ad.matmul(ones_col, ad.matmul(mass_counts, s_l)))
-        pi_m = ad.div(ad.matmul(pnum, s_m), ad.matmul(ones_col, ad.matmul(mass_counts, s_m)))
-
-        a_up = ad.add(ad.mul(pi_l, mu1), ad.mul(1.0 - pi_l, rng_range.s2))
-        a_lo = ad.add(ad.mul(pi_l, mu1), ad.mul(1.0 - pi_l, rng_range.s1))
-        b_up = ad.add(ad.mul(1.0 - pi_m, mu0), ad.mul(pi_m, rng_range.s1))
-        b_lo = ad.add(ad.mul(1.0 - pi_m, mu0), ad.mul(pi_m, rng_range.s2))
-        upper = ad.sub(ad.reduce_min(a_up, axis=1), ad.reduce_max(b_up, axis=1))
-        lower = ad.sub(ad.reduce_max(a_lo, axis=1), ad.reduce_min(b_lo, axis=1))
-        l_b = ad.reduce_mean(ad.sub(upper, lower))
+    rep = bnd.aggregate_cells(const.x, const.m1, const.m0, const.p, const.eta, const.a, weights)
+    info = {"valid_l": rep.valid_l, "valid_m": rep.valid_m, "masses": masses.ravel().copy()}
+    pair = None
+    if rep.valid_l.any() and rep.valid_m.any():
+        if not all(np.isfinite(v).all() for v in (rep.mu1, rep.mu0, rep.pi)):
+            raise ad.NonFiniteError(None, "cell aggregate")
+        pair = bnd.bounds_on_grid(rep, rng_range)
+        l_b = np.mean(pair.width)
+        total = l_b + (l_reg * lam + l_aux * gamma)
     else:
         logger.warning("batch has no valid (l, m) pair; bound-width term dropped")
+        l_b = None
+        total = l_reg * lam + l_aux * gamma
 
-    root = ad.add(l_reg * config.lam, l_aux * config.gamma) if l_b is None else ad.add(
-        l_b, ad.add(l_reg * config.lam, l_aux * config.gamma)
-    )
-    parts = {"l_b": l_b, "l_reg": l_reg, "l_aux": l_aux}
-    return root, parts, acts, info
+    def backward(g):
+        g_log = np.full_like(masses, float(-(g * lam)))
+        g_soft = c_n.T @ ((g_log / np.maximum(masses, MASS_CLAMP)) * (masses > MASS_CLAMP))
+        if pair is not None:
+            g_soft = g_soft + _bound_width_backward(g, const, rng_range, rep, pair)
+        g_logits = soft * (g_soft - (g_soft * soft).sum(axis=1, keepdims=True)) / temperature
+        return g_logits, g * g_aux
+
+    parts = {"l_b": None if l_b is None else float(l_b), "l_reg": float(l_reg), "l_aux": l_aux}
+    return total, parts, info, backward
+
+
+def _bound_width_backward(g, const: BatchConstants, rng_range: OutcomeRange, rep: bnd.RepresentationNuisance,
+                          pair: bnd.BoundPair) -> np.ndarray:
+    """Gradient of ``g`` times the mean bound width with respect to the cell
+    weights. Column subsets are taken with ``take``, which keeps them, and
+    the products below, C-ordered: that fixes the summation order of the
+    matmuls."""
+    n, k = rep.pi.shape
+    vl, vm = np.flatnonzero(rep.valid_l), np.flatnonzero(rep.valid_m)
+    s1, s2 = float(rng_range.s1), float(rng_range.s2)
+
+    def scatter(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(values), k))
+        out[:, cols] = values
+        return out
+
+    def picked(cells: np.ndarray, value: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # A row-wise min or max passes its gradient to the cell it chose.
+        return np.where(np.arange(k) == cells[:, None], value[:, None], 0.0).take(cols, axis=1)
+
+    # upper = min_l up_l - max_m up_m and lower = max_l lo_l - min_m lo_m, with
+    # up_l = pi mu1 + (1 - pi) s2, lo_l = pi mu1 + (1 - pi) s1,
+    # up_m = (1 - pi) mu0 + pi s1 and lo_m = (1 - pi) mu0 + pi s2.
+    g_width = np.full(n, float(g) / n)
+    g_lo_m = picked(pair.lower_pair[:, 1], g_width, vm)
+    g_lo_l = picked(pair.lower_pair[:, 0], -g_width, vl)
+    g_up_m = picked(pair.upper_pair[:, 1], -g_width, vm)
+    g_up_l = picked(pair.upper_pair[:, 0], g_width, vl)
+    pi_l, mu1 = rep.pi.take(vl, axis=1), rep.mu1.take(vl, axis=1)
+    pi_m, mu0 = rep.pi.take(vm, axis=1), rep.mu0.take(vm, axis=1)
+    g_pi_l = -(g_lo_l * s1) + g_lo_l * mu1 + -(g_up_l * s2) + g_up_l * mu1
+    g_mu1 = g_lo_l * pi_l + g_up_l * pi_l
+    g_pi_m = g_lo_m * s2 + -(g_lo_m * mu0) + g_up_m * s1 + -(g_up_m * mu0)
+    g_mu0 = g_lo_m * (1.0 - pi_m) + g_up_m * (1.0 - pi_m)
+
+    def quotient(g_q: np.ndarray, num: np.ndarray, den: np.ndarray, cols: np.ndarray):
+        # q = num / den over the columns ``cols``; den was spread over the
+        # batch rows, so its gradient sums them (ones_col.T @).
+        num, den = num.take(cols, axis=1), den[cols]
+        return scatter(np.ones((n, 1)).T @ (-g_q * num / (den * den)), cols), scatter(g_q / den, cols)
+
+    num1, num0, pnum, den1, den0, mass = rep.sums
+    g_arm0, g_num0 = quotient(g_mu0, num0, den0, vm)
+    g_mass, g_pnum = quotient(g_pi_m, pnum, mass, vm)
+    g_arm1, g_num1 = quotient(g_mu1, num1, den1, vl)
+    g_mass_l, g_pnum_l = quotient(g_pi_l, pnum, mass, vl)
+    # Each sum is factor @ weights: arm0 = (1 - a) @ w, num0 = (m0 (1 - eta)) @ w, ...
+    factors = ((1.0 - const.a).reshape(1, n), const.m0 * (1.0 - const.eta)[None, :], const.a.reshape(1, n),
+               const.m1 * const.eta[None, :], np.ones((1, n)), const.p)
+    sum_grads = (g_arm0, g_num0, g_arm1, g_num1, g_mass + g_mass_l, g_pnum + g_pnum_l)
+    return reduce(operator.add, [factor.T @ g_sum for factor, g_sum in zip(factors, sum_grads)])
+
+
+def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
+                         config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
+    """``composite_loss`` of the net's outputs as a graph: (root, parts, acts,
+    info), the root one fused node over the leaves ``logits`` and ``aux``,
+    ``acts`` the net's activations for ``PartitionNet.backward``."""
+    acts: list[np.ndarray] = []
+    heads = net.forward(const.z, acts)
+    leaves = tuple(ad.input_node(v, name=name, trainable=True) for name, v in zip(("logits", "aux"), heads))
+    total, parts, info, backward = composite_loss(*heads, const, rng_range, config, noise, hard)
+    return ad.fused(leaves, total, backward), parts, acts, info
 
 
 def composite_loss_and_grad(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
                             config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
-    """``composite_loss_graph`` and the gradient of its total for every
-    parameter of ``net``: (root, parts, grads)."""
+    """``composite_loss_graph`` and its total's gradient in each net parameter: (root, parts, grads)."""
     root, parts, acts, _ = composite_loss_graph(net, const, rng_range, config, noise, hard)
     g = ad.backward_grad(root)
     return root, parts, net.backward(acts, g["logits"], g["aux"])
@@ -194,14 +254,8 @@ def composite_losses(weights: np.ndarray, aux_logits: np.ndarray, const: BatchCo
                      rng_range: OutcomeRange, lam: float, gamma: float) -> tuple[CompositeLossBreakdown, dict]:
     """Numpy evaluation of the three loss terms for given cell weights."""
     masses = weights.mean(axis=0)
-    if masses.min() < MASS_CLAMP:
-        logger.warning("cell mass clamped at %g during loss evaluation", MASS_CLAMP)
-    l_reg = float(-np.sum(np.log(np.maximum(masses, MASS_CLAMP))))
-
-    labels = np.argmax(weights, axis=1)
-    shifted = aux_logits - aux_logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    l_aux = float(-np.mean(logp[np.arange(len(labels)), labels]))
+    l_reg = float(_mass_penalty(masses))
+    l_aux = cross_entropy(aux_logits, bnd.one_hot(np.argmax(weights, axis=1), weights.shape[1]))[0]
 
     rep = bnd.aggregate_cells(const.x, const.m1, const.m0, const.p, const.eta, const.a, weights)
     info = {"valid_l": rep.valid_l, "valid_m": rep.valid_m, "masses": masses}
@@ -257,9 +311,8 @@ def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
             if len(idx) < 2:
                 continue
             acts: list[np.ndarray] = []
-            logits = ad.input_node(net.forward(z[idx], acts)[0], name="logits", trainable=True)
-            ce = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(ad.constant(onehot[idx]), ad.log_softmax(logits)), axis=1)))
-            grads = net.backward(acts, ad.backward_grad(ce)["logits"])
+            logits = net.forward(z[idx], acts)[0]
+            grads = net.backward(acts, cross_entropy(logits, onehot[idx])[1])
             nets.adam_step(net.params, grads, state, config.learning_rate)
 
 
@@ -330,15 +383,9 @@ def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCon
         const = train_const.subset(idx)
         noise = sample_gumbel((len(idx), config.k), gumbel_rng)
         root, parts, grads = composite_loss_and_grad(model, const, rng_range, config, noise, hard=True)
-        batch_parts.append(
-            CompositeLossBreakdown(
-                l_b=float(parts["l_b"].value) if parts["l_b"] is not None else np.nan,
-                l_reg=float(parts["l_reg"].value),
-                l_aux=float(parts["l_aux"].value),
-                lam=config.lam,
-                gamma=config.gamma,
-            )
-        )
+        batch_parts.append(CompositeLossBreakdown(l_b=np.nan if parts["l_b"] is None else parts["l_b"],
+                                                  l_reg=parts["l_reg"], l_aux=parts["l_aux"],
+                                                  lam=config.lam, gamma=config.gamma))
         return float(root.value), grads
 
     def val_loss(model):

@@ -4,22 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivbounds import autodiff as ad
-from ivbounds import checks, experiments, nets, parallel
+from ivbounds import bounds, checks, experiments, nets, parallel, partition
 
 
 def scalar_input(v):
     return ad.input_node(np.array([v]), name="x", trainable=True)
 
 
-def test_identity_matmul():
-    a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-    eye = ad.constant(np.eye(2))
-    np.testing.assert_array_equal(ad.matmul(a, eye).value, a.value)
+def _sum_of(x, f, df):
+    """sum(f(x)) as one fused node, with the derivative df of f."""
+    return ad.fused((x,), np.sum(f(x.value)), lambda g: (g * df(x.value),))
+
+
+def _log(x):
+    return ad.fused((x,), np.log(x.value), lambda g: (g / x.value,))
+
+
+def _dot(a, b):
+    return ad.fused((a, b), np.sum(a.value * b.value), lambda g: (g * b.value, g * a.value))
 
 
 def test_square_gradient():
     x = scalar_input(3.0)
-    root = ad.reduce_sum(ad.mul(x, x))
+    root = _sum_of(x, lambda v: v * v, lambda v: 2.0 * v)
     grads = ad.backward_grad(root)
     assert grads["x"][0] == pytest.approx(6.0)
 
@@ -35,22 +42,23 @@ def test_sigmoid_gradient_at_zero():
 def test_backward_requires_scalar_root():
     x = ad.input_node(np.ones(3), name="x", trainable=True)
     with pytest.raises(ValueError, match="scalar root"):
-        ad.backward_grad(ad.mul(x, 2.0))
+        ad.backward_grad(ad.fused((x,), x.value * 2.0, lambda g: (g * 2.0,)))
 
 
 def test_shape_mismatch_is_structured():
-    a = ad.constant(np.ones((2, 3)))
-    b = ad.constant(np.ones((2, 3)))
+    # A fused backward must give each parent a gradient of its shape.
+    x = ad.input_node(np.ones((2, 3)), name="x", trainable=True)
+    root = ad.fused((x,), np.sum(x.value), lambda g: (np.ones((3, 2)),))
     with pytest.raises(ad.ShapeMismatchError) as exc:
-        ad.matmul(a, b)
-    assert exc.value.op == "matmul"
+        ad.backward_grad(root)
+    assert exc.value.op == "fused"
     assert (2, 3) in exc.value.shapes
 
 
 def test_nan_gradient_carries_node_id():
     # log(y) at a subnormal y has the gradient 1/y = inf.
     y = ad.input_node(np.array([1e-320]), name="y", trainable=True)
-    bad = ad.reduce_sum(ad.log(y))
+    bad = _sum_of(y, np.log, lambda v: 1.0 / v)
     with pytest.raises(ad.NonFiniteError) as exc:
         ad.backward_grad(bad)
     assert exc.value.node_id is not None
@@ -58,23 +66,27 @@ def test_nan_gradient_carries_node_id():
 
 def test_nonfinite_forward_raises():
     x = ad.input_node(np.array([-1.0]), name="x", trainable=True)
+    with pytest.raises(ad.NonFiniteError), np.errstate(invalid="ignore"):
+        _log(x)
     with pytest.raises(ad.NonFiniteError):
-        ad.log(x)
+        ad.input_node(np.array([np.inf]))
 
 
 def test_finite_diff_cube():
-    err = checks.graph_gradient_error(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), x)), np.array([2.0]), step=1e-5)
+    point = np.array([2.0])
+    err = checks.finite_diff_error(lambda: float(np.sum(point ** 3)), {"x": point}, {"x": 3.0 * point ** 2}, 1e-5)
     assert err < 1e-6
 
 
 def test_finite_diff_constant_function():
-    err = checks.graph_gradient_error(lambda x: ad.reduce_sum(ad.mul(x, 0.0)), np.array([1.0, -2.0]), step=1e-5)
+    point = np.array([1.0, -2.0])
+    err = checks.finite_diff_error(lambda: float(np.sum(point * 0.0)), {"x": point}, {"x": np.zeros(2)}, 1e-5)
     assert err == 0.0
 
 
 def test_finite_diff_linear_sum():
-    err = checks.graph_gradient_error(lambda x: ad.reduce_sum(x), np.linspace(-1, 1, 10), step=1e-5)
-    assert err < 1e-9
+    point = np.linspace(-1, 1, 10)
+    assert checks.finite_diff_error(lambda: float(np.sum(point)), {"x": point}, {"x": np.ones(10)}, 1e-5) < 1e-9
 
 
 def _mlp_loss_and_input_grad(x):
@@ -98,25 +110,32 @@ def test_mlp_gradient_matches_finite_differences():
     assert checks.finite_diff_error(lambda: _mlp_loss_and_input_grad(point)[0], {"x": point}, grads, 1e-5) < 1e-4
 
 
-@pytest.mark.parametrize("op", sorted(checks.GRADIENT_CASES))
-def test_each_op_gradient_vs_finite_differences(op):
-    assert checks.graph_gradient_error(checks.GRADIENT_CASES[op], checks.gradient_point(op), step=1e-5) < 1e-4
-
-
 def test_fd_cases_cover_every_checkable_op_kind():
-    assert set(checks.GRADIENT_CASES) == set(ad.FD_CHECKABLE_OP_KINDS)
+    # The one op kind with a backward is the fused node; the pipeline's fused
+    # node is the stage-2 loss, checked by one finite-difference line per term
+    # of the loss, one for the warm start and one for straight-through.
+    assert ad.OP_KINDS - {"input"} == {"fused"}
+    const, net, noise = checks._loss_case()
+    logits, aux = net.forward(const.z)
+    _, parts, _, _ = partition.composite_loss(logits, aux, const, checks.LOSS_RANGE,
+                                              nets.TrainConfig(k=net.k, batch_size=len(const)), noise)
+    assert set(checks.LOSS_TERMS) == set(parts)
+    names = [r.name.split(" (")[0] for r in checks.gradient_checks()]
+    assert names == [f"gradient {label}" for label in checks.LOSS_TERMS.values()] + [
+        "gradient warm-start cross-entropy", "gradient straight-through"]
 
 
 def test_straight_through_exact_onehot_and_identity_gradient():
-    logits = ad.input_node(np.array([[0.3, 0.2, 0.5], [0.9, 0.05, 0.05]]), name="l", trainable=True)
-    soft = ad.softmax(logits)
-    hard = ad.straight_through(soft)
-    expected = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(hard.value, expected)
-    weights = ad.constant(np.arange(6.0).reshape(2, 3))
-    hard_grads = ad.backward_grad(ad.reduce_sum(ad.mul(hard, weights)))
-    soft_grads = ad.backward_grad(ad.reduce_sum(ad.mul(soft, weights)))
-    np.testing.assert_array_equal(hard_grads["l"], soft_grads["l"])
+    # Hard mode: L_b is the width at the exact one-hot weights, and the
+    # logits gradient is the soft weights' backward of its gradient there.
+    result = checks.straight_through_check(1e-4)
+    assert result.passed, result.detail
+    const, net, noise = checks._loss_case()
+    logits, aux = net.forward(const.z)
+    config = nets.TrainConfig(k=net.k, batch_size=len(const))
+    _, parts, _, _ = partition.composite_loss(logits, aux, const, checks.LOSS_RANGE, config, noise, hard=True)
+    weights = bounds.one_hot(np.argmax(nets.gumbel_softmax(logits, noise, 1.0), axis=1), net.k)
+    assert parts["l_b"] == partition.composite_losses(weights, aux, const, checks.LOSS_RANGE, 0.0, 0.0)[0].l_b
 
 
 def test_determinism_bitwise():
@@ -125,57 +144,60 @@ def test_determinism_bitwise():
     v2, g2 = _mlp_loss_and_input_grad(point)
     assert v1 == v2
     assert np.array_equal(g1, g2)
-    # The same for a graph: the composite loss's ops, through one backward sweep each.
-    grads = []
-    for _ in range(2):
-        x = ad.input_node(point, name="x", trainable=True)
-        grads.append(ad.backward_grad(ad.reduce_sum(ad.mul(ad.log_softmax(x), ad.softmax(ad.mul(x, 2.0)))))["x"])
-    assert np.array_equal(grads[0], grads[1])
+    # The same for the composite loss through its graph.
+    const, net, noise = checks._loss_case()
+    config = nets.TrainConfig(k=net.k, batch_size=len(const))
+    runs = [partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise) for _ in range(2)]
+    assert float(runs[0][0].value) == float(runs[1][0].value)
+    for name in net.params:
+        assert np.array_equal(runs[0][2][name], runs[1][2][name]), name
 
 
 def test_chain_rule_composition():
-    # f(g(x)) fused vs product of separately computed df/dg and dg/dx.
+    # f(g(x)) through two fused nodes vs the product of separately computed
+    # df/dg and dg/dx.
     point = np.array([0.7, -0.4, 1.2])
 
     def g_graph(x):
-        return ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0)))
+        return _sum_of(x, lambda v: np.log(v * v + 1.0), lambda v: 2.0 * v / (v * v + 1.0))
+
+    def f_graph(y):
+        return _log(ad.fused((y,), 0.5 * y.value, lambda g: (0.5 * g,)))
 
     x = ad.input_node(point, name="x", trainable=True)
-    fused_root = ad.log(ad.mul(g_graph(x), 0.5))
-    fused = ad.backward_grad(fused_root)["x"]
+    fused = ad.backward_grad(f_graph(g_graph(x)))["x"]
 
     x2 = ad.input_node(point, name="x", trainable=True)
     g_root = g_graph(x2)
     dg = ad.backward_grad(g_root)["x"]
-    g_val = float(g_root.value)
-    y = ad.input_node(np.array([g_val]), name="y", trainable=True)
-    f_root = ad.reduce_sum(ad.log(ad.mul(y, 0.5)))
-    df = float(ad.backward_grad(f_root)["y"][0])
+    y = ad.input_node(np.array([float(g_root.value)]), name="y", trainable=True)
+    df = float(ad.backward_grad(f_graph(y))["y"][0])
     np.testing.assert_allclose(fused, df * dg, atol=1e-12)
 
 
 def test_repeated_parent_accumulates():
+    # x * x + x with x listed twice: each listing adds its gradient.
     x = scalar_input(2.0)
-    root = ad.reduce_sum(ad.add(ad.mul(x, x), x))
+    root = ad.fused((x, x), np.sum(x.value * x.value + x.value), lambda g: (g * 2.0 * x.value, g * np.ones(1)))
     assert ad.backward_grad(root)["x"][0] == pytest.approx(5.0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-3, max_value=3), min_size=2, max_size=6))
 def test_gradient_check_property_random_vectors(vals):
-    point = np.asarray(vals)
-    point = np.where(np.abs(point) < 1e-3, point + 0.01, point)
-
-    def build(x):
-        return ad.reduce_mean(ad.mul(ad.log(ad.add(ad.mul(x, x), 1.0)), ad.clip_min(x, 0.0)))
-
-    assert checks.graph_gradient_error(build, point, step=1e-5) < 1e-4
+    # The cross-entropy that the warm start and L_aux differentiate, at
+    # random logits against the first class.
+    logits = np.asarray(vals)[None, :]
+    onehot = np.eye(len(vals))[:1]
+    grad = partition.cross_entropy(logits, onehot)[1]
+    err = checks.finite_diff_error(lambda: partition.cross_entropy(logits, onehot)[0], {"x": logits}, {"x": grad}, 1e-5)
+    assert err < 1e-4
 
 
 def test_zero_gradient_for_unused_trainable_input():
     x = ad.input_node(np.ones(2), name="x", trainable=True)
     y = ad.input_node(np.ones(2), name="y", trainable=True)
-    root = ad.reduce_sum(x)
+    root = _sum_of(x, lambda v: v, np.ones_like)
     del y
     grads = ad.backward_grad(root)
     assert "y" not in grads  # y is not part of the graph at all
@@ -219,11 +241,11 @@ def test_dense_is_bitwise_the_unfused_layer(operands, relu):
 
 
 def test_nonfinite_gradient_names_first_node_in_reverse_order():
-    # d/dy log(y) = 1/y overflows at a subnormal y; sum and log keep finite
-    # gradients, so y is the first node in reverse order that is not finite.
+    # d/dy log(y) = 1/y overflows at a subnormal y; the dot and log nodes keep
+    # finite gradients, so y is the first node in reverse order that is not finite.
     y = ad.input_node(np.array([1e-320]), name="y", trainable=True)
     w = ad.input_node(np.array([2.0]), name="w", trainable=True)
-    root = ad.reduce_sum(ad.mul(ad.log(y), w))
+    root = _dot(_log(y), w)
     with pytest.raises(ad.NonFiniteError) as exc:
         ad.backward_grad(root)
     order = ad.topo_order(root)
@@ -237,9 +259,11 @@ def test_nonfinite_gradient_reaching_no_trainable_input_is_not_reported():
     # Gradients are checked once, on those backward_grad returns. Here the
     # gradient of log at a subnormal constant y overflows, but the trainable
     # x does not reach log(y), so its gradient is finite.
-    y = ad.constant(np.array([1e-320]))
+    y = ad.input_node(np.array([1e-320]))
     x = ad.input_node(np.array([3.0]), name="x", trainable=True)
-    root = ad.add(ad.reduce_sum(ad.log(y)), ad.reduce_sum(x))
+    log_y = _log(y)
+    root = ad.fused((log_y, x), np.sum(log_y.value) + np.sum(x.value),
+                    lambda g: (g * np.ones(1), g * np.ones(1)))
     grads = ad.backward_grad(root)
     assert not np.all(np.isfinite(y.grad))
     np.testing.assert_array_equal(grads["x"], [1.0])

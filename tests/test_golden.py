@@ -1,7 +1,7 @@
-"""Golden seed-0 gate: two small end-to-end runs against recorded values.
+"""Golden seed-0 gate: small end-to-end runs against recorded values.
 
-``golden_seed0.json`` holds, for d3/ours/k8, d1/ours/k2 and d2/naive/k3 at
-n = 600 and seed 0, the bounds at every test point with their selected cell
+``golden_seed0.json`` holds, for d3/ours/k8, d1/ours/k2, d2/naive/k3 and
+d2/ours/k3 at n = 600 and seed 0, the bounds at every test point with their selected cell
 pairs; for the ours runs also the stage-2 winning restart and validation
 loss and the epoch counts of every fit, for the naive run the k-means
 centroids and inertia. Bounds and the other floats compare at rtol 1e-12, so
@@ -20,7 +20,8 @@ import pytest
 from ivbounds import bounds, experiments
 
 GOLDEN_PATH = Path(__file__).with_name("golden_seed0.json")
-GOLDEN_RUNS = {"d3_ours_k8": (3, "ours", 8), "d1_ours_k2": (1, "ours", 2), "d2_naive_k3": (2, "naive", 3)}
+GOLDEN_RUNS = {"d3_ours_k8": (3, "ours", 8), "d1_ours_k2": (1, "ours", 2), "d2_naive_k3": (2, "naive", 3),
+               "d2_ours_k3": (2, "ours", 3)}
 GOLDEN_N = 600
 STAGE1_NETS = ("mu", "pi", "eta")
 EXACT_KEYS = ("stage1_epochs", "stage1_best_epoch", "stage2_epochs", "stage2_restart")

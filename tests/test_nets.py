@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ivbounds import InputError
 from ivbounds import autodiff as ad
-from ivbounds import nets
+from ivbounds import checks, nets, partition
 from ivbounds.data import sigmoid
 from ivbounds.rng import stream_rng
 
@@ -33,62 +33,50 @@ def test_train_config_validation():
 # ---------------------------------------------------------------- gumbel
 
 
-def _fixed_logit_net(logits):
-    """Partition net whose assignment logits are ``logits`` for every instrument."""
-    net = nets.PartitionNet.create(1, len(logits), stream_rng(0, "init"))
-    net.params["logits.w"][:] = 0.0
-    net.params["logits.b"][:] = logits
-    return net
-
-
 def test_gumbel_zero_temperature_limit():
-    logits = np.array([0.4, 1.3, -0.2])
+    logits = np.array([[0.4, 1.3, -0.2]])
     noise = nets.sample_gumbel((1, 3), stream_rng(1, "noise"))
-    weights, _, _ = _fixed_logit_net(logits).assignment_graph(np.zeros(1), noise, temperature=1e-6, hard=False)
+    weights = nets.gumbel_softmax(logits, noise, temperature=1e-6)
     expected = np.zeros((1, 3))
-    expected[0, np.argmax(logits + noise[0])] = 1.0
-    np.testing.assert_array_equal(weights.value, expected)
+    expected[0, np.argmax(logits[0] + noise[0])] = 1.0
+    np.testing.assert_array_equal(weights, expected)
 
 
 def test_gumbel_rows_sum_to_one():
-    net = _fixed_logit_net(np.random.default_rng(0).normal(size=5))
+    logits = np.tile(np.random.default_rng(0).normal(size=5), (40, 1))
     noise = nets.sample_gumbel((40, 5), stream_rng(2, "gumbel"))
-    weights, _, _ = net.assignment_graph(np.zeros(40), noise, 0.7, hard=False)
-    np.testing.assert_allclose(weights.value.sum(axis=1), np.ones(40), atol=1e-9)
-    assert np.all(weights.value >= 0)
+    weights = nets.gumbel_softmax(logits, noise, 0.7)
+    np.testing.assert_allclose(weights.sum(axis=1), np.ones(40), atol=1e-9)
+    assert np.all(weights >= 0)
 
 
 def test_gumbel_hard_matches_softmax_distribution():
     # With logits (0, ln 3) the sampling distribution is softmax = (1/4, 3/4).
     n = 100_000
     noise = nets.sample_gumbel((n, 2), stream_rng(3, "gumbel"))
-    weights, _, _ = _fixed_logit_net(np.array([0.0, np.log(3.0)])).assignment_graph(np.zeros(n), noise, 1.0, True)
-    assert set(np.unique(weights.value)) <= {0.0, 1.0}
-    freq = weights.value[:, 1].mean()
+    soft = nets.gumbel_softmax(np.tile([0.0, np.log(3.0)], (n, 1)), noise, 1.0)
+    freq = np.argmax(soft, axis=1).mean()
     assert abs(freq - 0.75) < 0.01
 
 
 def test_gumbel_rejects_bad_temperature():
     with pytest.raises(ValueError):
-        _fixed_logit_net(np.zeros(3)).assignment_graph(np.zeros(1), None, 0.0, False)
+        nets.gumbel_softmax(np.zeros((1, 3)), None, 0.0)
 
 
 def test_assignment_graph_straight_through_equals_soft_gradient():
-    rng = stream_rng(4, "init")
-    net = nets.PartitionNet.create(z_dim=1, k=3, rng=rng)
-    z = np.linspace(-1, 1, 8)
-    noise = nets.sample_gumbel((8, 3), stream_rng(4, "noise"))
-    w_hard, _, _ = net.assignment_graph(z, noise, temperature=1.0, hard=True)
-    w_soft, _, _ = net.assignment_graph(z, noise, temperature=1.0, hard=False)
-    # Hard forward is exactly one-hot.
-    assert set(np.unique(w_hard.value)) <= {0.0, 1.0}
-    np.testing.assert_array_equal(w_hard.value.sum(axis=1), np.ones(8))
-    # Backward through identical noise agrees between hard and soft paths.
-    coeff = np.arange(24.0).reshape(8, 3)
-    g_hard = ad.backward_grad(ad.reduce_sum(ad.mul(w_hard, ad.constant(coeff))))
-    g_soft = ad.backward_grad(ad.reduce_sum(ad.mul(w_soft, ad.constant(coeff))))
-    for name in g_hard:
-        np.testing.assert_array_equal(g_hard[name], g_soft[name])
+    # Straight-through: hard cell weights in the forward, the soft weights'
+    # backward. Where L_b drops out (one arm only), the loss reads the soft
+    # masses and the argmax labels, the same in both modes, so both modes
+    # give the same loss and gradients, bit for bit.
+    const, net, noise = checks._loss_case()
+    const = partition.BatchConstants(**{**vars(const), "a": np.ones(len(const))})
+    config = nets.TrainConfig(k=net.k, batch_size=len(const), lam=1.5, gamma=0.5)
+    hard, soft = (partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise, hard=mode)
+                  for mode in (True, False))
+    assert hard[1] == soft[1] and hard[1]["l_b"] is None
+    for name in net.params:
+        np.testing.assert_array_equal(hard[2][name], soft[2][name])
 
 
 # ---------------------------------------------------------------- adam
@@ -227,6 +215,9 @@ class _LinearNet(nets._Net):
         g = 2.0 * diff / diff.size
         return float(np.mean(diff * diff)), {"w": x.T @ g, "b": g.sum(axis=0)}
 
+    def loss(self, batch):
+        return self.loss_and_grad(batch)[0]
+
 
 def _linear_data(seed, n=400):
     rng = stream_rng(seed, "lin")
@@ -291,6 +282,27 @@ def test_early_stopping_returns_minimum_validation_loss_weights():
     log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
     final_val = net.loss_and_grad(val)[0]
     assert final_val <= min(log.val_loss) + 1e-12
+
+
+def test_default_validation_takes_the_loss_only_path():
+    # Without val_loss_fn every epoch validates on net.loss(val): loss_fn
+    # (loss and gradient) sees training batches only.
+    train, val = _linear_data(0), _linear_data(1, n=100)
+    net = _LinearNet.create(stream_rng(2, "init"))
+    config = nets.TrainConfig(max_epochs=3, batch_size=64, k=1, seed=5)
+    seen, val_losses = [], []
+
+    def loss_fn(m, b):
+        seen.append(len(b["x"]))
+        return m.loss_and_grad(b)
+
+    def loss(batch, original=net.loss):
+        val_losses.append(original(batch))
+        return val_losses[-1]
+
+    net.loss = loss
+    log = nets.train_with_early_stopping(net, loss_fn, train, val, config)
+    assert set(seen) == {64, 400 % 64} and log.val_loss == val_losses and len(val_losses) == 3
 
 
 def test_training_aborts_on_nan_loss():
@@ -429,13 +441,14 @@ def test_graph_forward_matches_numpy_forward():
     np.testing.assert_array_equal(np.concatenate(heads, axis=1), net.predict(x, z))
     assert [len(acts) for acts in (acts_x, acts_z, acts_h)] == [3, 4, 3]
     np.testing.assert_array_equal(acts_h[0], np.concatenate([acts_x[-1], acts_z[-1]], axis=1))
-    partition_net = nets.PartitionNet.create(1, 3, stream_rng(4, "init"))
-    weights, aux, acts = partition_net.assignment_graph(z, None, 1.0, hard=False)
-    leaves = {node.name: node for node in ad.topo_order(weights) if node.op == "input"}
-    np_logits, np_aux = partition_net.forward(z)
+    const, partition_net, _ = checks._loss_case()
+    root, _, acts, _ = partition.composite_loss_graph(partition_net, const, checks.LOSS_RANGE,
+                                                      nets.TrainConfig(k=3, batch_size=len(const)), None)
+    leaves = {node.name: node for node in root.parents}
+    np_logits, np_aux = partition_net.forward(const.z)
     np.testing.assert_array_equal(leaves["logits"].value, np_logits)
-    np.testing.assert_array_equal(aux.value, np_aux)
-    assert leaves["logits"].trainable and aux.trainable and aux.name == "aux"
+    np.testing.assert_array_equal(leaves["aux"].value, np_aux)
+    assert root.op == "fused" and all(node.op == "input" and node.trainable for node in root.parents)
     assert len(acts) == partition_net.depth + 1
 
 
@@ -576,7 +589,7 @@ def test_loss_and_grad_is_bitwise_the_fused_layer_graph(case):
         _on_quarter_grid(net, rng)
         loss, grads = net.loss_and_grad(batch)
         ref_loss, ref_grads = reference(net, batch)
-        assert loss == ref_loss, net.kind
+        assert loss == ref_loss == net.loss(batch), net.kind
         assert grads.keys() == ref_grads.keys() == net.params.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), (net.kind, name)

@@ -66,7 +66,7 @@ def _square_or_fail(index):
 
 @pytest.mark.parametrize("error", [
     TrainingAbort(4, 2, "loss is not finite"),
-    ad.NonFiniteError(ad.constant(np.ones(2)), "gradient"),
+    ad.NonFiniteError(ad.input_node(np.ones(2)), "gradient"),
     ad.ShapeMismatchError("dense", (2, 3), (4, 5)),
     bounds.EmptyCellError(3, 1),
     bounds.EmptyCellError(2),
