@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,12 @@ def _log(x):
 
 def _dot(a, b):
     return ad.fused((a, b), np.sum(a.value * b.value), lambda g: (g * b.value, g * a.value))
+
+
+def test_identity_matmul():
+    # The nets' layer matmul: an identity weight and zero bias give the input back.
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(nets._dense_np(a, {"l0.w": np.eye(2), "l0.b": np.zeros(2)}, "l0"), a)
 
 
 def test_square_gradient():
@@ -108,6 +116,99 @@ def test_mlp_gradient_matches_finite_differences():
     point = np.random.default_rng(11).normal(size=(3, 4))
     grads = {"x": _mlp_loss_and_input_grad(point)[1]}
     assert checks.finite_diff_error(lambda: _mlp_loss_and_input_grad(point)[0], {"x": point}, grads, 1e-5) < 1e-4
+
+
+def _soft_loss_in_logits(lam=0.0, gamma=0.0, temperature=1.0, noise=None, const=None, logits=None):
+    """The soft-mode composite loss of ``checks._loss_case`` as a function of
+    the logits (the aux head fixed): (arrays, loss_and_grads)."""
+    base, net, _ = checks._loss_case()
+    const = base if const is None else const
+    heads = net.forward(const.z)
+    arrays = {"logits": heads[0].copy() if logits is None else logits}
+    config = nets.TrainConfig(k=net.k, batch_size=len(const), lam=lam, gamma=gamma, temperature=temperature)
+
+    def loss_and_grads():
+        total, _, _, backward = partition.composite_loss(arrays["logits"], heads[1], const, checks.LOSS_RANGE,
+                                                         config, noise, hard=False)
+        return float(total), {"logits": backward(1.0)[0]}
+
+    return arrays, loss_and_grads
+
+
+def _case_matmul():
+    # A dense layer's hand-written backward in its input and weight.
+    rng = np.random.default_rng(5)
+    arrays = {"h": rng.normal(size=(4, 3)), "l0.w": rng.normal(size=(3, 2))}
+    b, coeff = rng.normal(size=2), rng.normal(size=(4, 2))
+
+    def loss_and_grads():
+        params = {"l0.w": arrays["l0.w"], "l0.b": b}
+        grads = {}
+        g_h = nets._dense_backward(arrays["h"], params, "l0", coeff, grads)
+        return float(np.sum(coeff * nets._dense_np(arrays["h"], params, "l0"))), {"h": g_h, "l0.w": grads["l0.w"]}
+
+    return arrays, loss_and_grads
+
+
+def _case_log_softmax():
+    # The cross-entropy of L_aux and the warm start, scaled by its weight.
+    rng = np.random.default_rng(6)
+    arrays = {"logits": rng.normal(size=(5, 3))}
+    onehot = bounds.one_hot(np.array([0, 2, 1, 2, 0]), 3)
+
+    def loss_and_grads():
+        value, g = partition.cross_entropy(arrays["logits"], onehot, 0.7)
+        return 0.7 * value, {"logits": g}
+
+    return arrays, loss_and_grads
+
+
+def _case_div():
+    # The bound width's backward in soft cell weights: the aggregates are
+    # sums divided by sums, and every cell keeps both arms.
+    const, net, _ = checks._loss_case()
+    arrays = {"weights": nets.gumbel_softmax(net.forward(const.z)[0], None, 1.0)}
+
+    def loss_and_grads():
+        rep = bounds.aggregate_cells(const.x, const.m1, const.m0, const.p, const.eta, const.a, arrays["weights"])
+        pair = bounds.bounds_on_grid(rep, checks.LOSS_RANGE)
+        return float(np.mean(pair.width)), {
+            "weights": partition._bound_width_backward(1.0, const, checks.LOSS_RANGE, rep, pair)}
+
+    return arrays, loss_and_grads
+
+
+def _case_log():
+    # L_reg alone: no sample is in arm 1, so L_b is dropped.
+    const = checks._loss_case()[0]
+    return _soft_loss_in_logits(lam=1.0, const=replace(const, a=np.zeros(len(const))))
+
+
+def _case_clip_min():
+    # L_reg with the last cell empty: its mass is clamped, so the loss and its gradient stay finite.
+    const, net, _ = checks._loss_case()
+    logits = net.forward(const.z)[0]
+    logits[:, -1] = -1000.0
+    return _soft_loss_in_logits(lam=1.0, const=replace(const, a=np.zeros(len(const))), logits=logits)
+
+
+# Each op of the former stage-2 graph, checked by central differences in the
+# numpy function whose hand-written backward now carries it.
+OP_CASES = {
+    "matmul": _case_matmul,
+    "log_softmax": _case_log_softmax,
+    "div": _case_div,
+    "log": _case_log,
+    "clip_min": _case_clip_min,
+    "softmax": lambda: _soft_loss_in_logits(temperature=0.5),
+    "gumbel_noise_add": lambda: _soft_loss_in_logits(lam=1.0, gamma=1.0, noise=checks._loss_case()[2]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_each_op_gradient_vs_finite_differences(op):
+    arrays, loss_and_grads = OP_CASES[op]()
+    assert checks.finite_diff_error(lambda: loss_and_grads()[0], arrays, loss_and_grads()[1], 1e-5) < 1e-4
 
 
 def test_fd_cases_cover_every_checkable_op_kind():
