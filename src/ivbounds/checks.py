@@ -56,7 +56,9 @@ def _relative_error(g: np.ndarray, numeric: np.ndarray) -> float:
 
 def finite_diff_error(loss, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], step: float) -> float:
     """Max relative error |g - numeric| / (|g| + 1e-8) of ``grads`` (a missing one is zero) against
-    ``central_differences`` of ``loss()`` in each entry of ``arrays``."""
+    ``central_differences`` of ``loss()`` in each entry of ``arrays``. ``grads`` is copied first: a
+    net's gradient views change with every ``loss()`` that runs its backward."""
+    grads = {name: np.array(g) for name, g in grads.items()}
     return max(_relative_error(grads.get(name, np.zeros(arr.shape)), central_differences(loss, arr, step))
                for name, arr in arrays.items())
 
@@ -87,7 +89,7 @@ def loss_term_checks(tolerance: float) -> list[CheckResult]:
         config = TrainConfig(k=net.k, batch_size=len(const), lam=lam, gamma=gamma)
         return step(net, const, LOSS_RANGE, config, noise, hard=False)
 
-    l_b = run(0.0, 0.0)[2]
+    l_b = {name: g.copy() for name, g in run(0.0, 0.0)[2].items()}
     analytic = {"l_b": l_b, **{term: {name: g - l_b[name] for name, g in run(*weights)[2].items()}
                                for term, weights in (("l_reg", (1.0, 0.0)), ("l_aux", (0.0, 1.0)))}}
     errors = {term: finite_diff_error(lambda: run(0.0, 0.0, partition.composite_loss_graph)[1][term],

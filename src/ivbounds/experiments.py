@@ -19,16 +19,19 @@ config hash and package version. A run is fully determined by (dataset,
 method, k, seed, n, training config), and its artifacts hold no wall time:
 the runtime goes to ``metrics.trace.json`` only.
 
-Processes: ``run_experiment`` runs in the calling process and spreads the
-independent restarts of each fit over the usable CPUs (see ``parallel``).
-``run_sweep(jobs > 1)`` spreads whole runs over ``min(jobs, len(runs))``
-processes through the same ``parallel.map_tasks``; pools never nest, so the
-restarts inside those runs train serially. Every run draws only from its own
-seeded streams, so the artifacts are the same bytes for every ``jobs`` value
-and worker count. They are fixed per BLAS thread count, not across counts:
-OpenBLAS sums the bound aggregates over all aggregation samples in another
-order on 1 and on 2 threads, so a bound can move in the last bits when that
-count changes. The seed-0 golden test compares bounds at rtol 1e-12.
+Processes: ``run_experiment`` runs in the calling process. It spreads the
+three stage-1 nets over the usable CPUs, each net's restarts trained in
+lockstep as one stacked net (see ``nuisance``), then the restarts of stage
+2 (see ``parallel``). ``run_sweep(jobs > 1)`` spreads whole runs over
+``min(jobs, len(runs))`` processes through the same ``parallel.map_tasks``;
+pools never nest, so the nets and restarts inside those runs train
+serially. Every run draws only from its own seeded streams, so the
+artifacts are the same bytes for every ``jobs`` value and worker count.
+All but ``bounds.csv`` are the same bytes for every BLAS thread count too
+(``tests/test_blas_threads.py``). OpenBLAS sums the bound aggregates over
+all aggregation samples in another order on 1 and on 2 threads, so a bound
+can move in the last bits when that count changes. The seed-0 golden test
+compares bounds at rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -191,15 +194,18 @@ def run_experiment(dataset: int, method: str, k: int, seed: int, n: int = 2000,
         stage2 = partition_stage(split, nuis, config, out)
         model = (stage2.net, nuis)
         extra["stage2_restart"] = stage2.restart
-        extra["stage2_val_total"] = stage2.val_total
+        # Infinite when no validation cell holds both arms: unknown, not a number JSON can hold.
+        extra["stage2_val_total"] = stage2.val_total if np.isfinite(stage2.val_total) else None
     elif method == "naive":
         model = naive_stage(split, config, out)
         extra["kmeans_inertia"] = model.kmeans.inertia
         extra["nuisance_architecture"] = {"mu": model.mu.meta()["spec"], "pi": model.pi.meta()["spec"]}
+    elif method == "oracle":
+        extra["rho_levels"] = len(data.rho_level_probs())  # the oracle's cells; the run's k plays no part
     pair, diag = bounds_stage(dataset, method, model, split, out)
     oracle = bounds_stage(dataset, "oracle", None, split)[0] if dataset == 3 and method != "oracle" else None
     report = report_stage(pair, split.test, oracle, diag["min_cell_mass"], out=out, started=start,
-                          dataset=dataset, method=method, k=k if method != "oracle" else 6, seed=seed, extra=extra)
+                          dataset=dataset, method=method, k=k, seed=seed, extra=extra)
     if out is not None:
         write_manifest(out, "run", {
             "dataset": dataset, "method": method, "k": k, "seed": seed, "n": n,

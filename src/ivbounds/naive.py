@@ -117,7 +117,7 @@ class NaiveFit:
 
 def _fit_net(spec, k: int, name: str, train: dict, val: dict, config: TrainConfig) -> TwoBranchNet:
     net = TwoBranchNet.create(1, k, stream_rng(config.seed, f"naive-{name}-init"), spec)
-    train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config,
+    train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b)[0], train, val, config,
                               rng=stream_rng(config.seed, f"naive-{name}-batches"))
     return net
 

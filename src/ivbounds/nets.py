@@ -23,9 +23,18 @@ loss (``partition.composite_loss``) into the net.
 large enough to keep the first trunk matmul out of OpenBLAS's small-matrix
 kernel (M <= 5,000 rows), whose last bits differ (see ``predict_pairwise``).
 
-``AdamState`` keeps each moment in one flat buffer, with a per-parameter
-view into it under the parameter's name, so an Adam step is a handful of
-whole-buffer operations.
+Every net keeps its parameters in one flat float64 buffer (``flat``) and
+its gradient in another (``flat_grad``); ``params`` and ``grads`` map each
+name to its view into them. The backward writes into the gradient views
+(one it does not reach stays zero), and ``adam_step`` is a handful of
+whole-buffer operations on ``flat``, ``flat_grad`` and the two moments.
+
+``stack_restarts`` makes R restarts of one architecture into one stacked
+net: both buffers and every view gain a leading restart axis, and the same
+forward and backward run on (R, batch, ·) arrays, each slice with the bits
+of the restart alone. ``train_with_early_stopping``, the one training loop,
+trains such a stack in lockstep (stage 1); stage 2 and the naive nets train
+single nets through it.
 """
 
 from __future__ import annotations
@@ -124,8 +133,9 @@ def _init_stack(rng, params, prefix, in_dim, depth, hidden) -> int:
 
 
 def _dense_np(h: np.ndarray, params, prefix: str) -> np.ndarray:
+    """``h @ w + b`` on rows (batch, ·), or per restart on (R, batch, ·) for stacked parameters."""
     out = h @ params[f"{prefix}.w"]
-    out += params[f"{prefix}.b"]
+    out += params[f"{prefix}.b"][..., None, :]
     return out
 
 
@@ -140,15 +150,16 @@ def _stack_np(h: np.ndarray, params, prefix: str, depth: int, acts: list | None 
     return h
 
 
-def _dense_backward(h: np.ndarray, params, prefix: str, g: np.ndarray, grads: dict) -> np.ndarray:
-    """Puts layer ``prefix``'s parameter gradients for input ``h`` and output
-    gradient ``g`` in ``grads``; returns the input's gradient."""
-    grads[f"{prefix}.w"] = h.T @ g
-    grads[f"{prefix}.b"] = g.sum(axis=0)
-    return g @ params[f"{prefix}.w"].T
+def _dense_backward(h: np.ndarray, params, prefix: str, g: np.ndarray, grads) -> np.ndarray:
+    """Writes layer ``prefix``'s parameter gradients for input ``h`` and output
+    gradient ``g`` into the arrays ``grads`` holds for them; returns the
+    input's gradient."""
+    np.matmul(h.swapaxes(-1, -2), g, out=grads[f"{prefix}.w"])
+    np.sum(g, axis=-2, out=grads[f"{prefix}.b"])
+    return g @ params[f"{prefix}.w"].swapaxes(-1, -2)
 
 
-def _stack_backward(acts: list, params, prefix: str, g: np.ndarray, grads: dict) -> np.ndarray:
+def _stack_backward(acts: list, params, prefix: str, g: np.ndarray, grads) -> np.ndarray:
     """``_dense_backward`` for a stack that collected ``acts``, layer by layer
     from the top; relu passes ``g`` where the layer's output is > 0."""
     for i in reversed(range(len(acts) - 1)):
@@ -156,17 +167,23 @@ def _stack_backward(acts: list, params, prefix: str, g: np.ndarray, grads: dict)
     return g
 
 
-def _heads_backward(acts: list, params, prefix: str, head_grads: dict, grads: dict) -> np.ndarray:
+def _heads_backward(acts: list, params, prefix: str, head_grads: dict, grads) -> np.ndarray:
     """Backward of linear heads (name -> output gradient) on the stack that
     collected ``acts``, then of the stack; returns its input's gradient."""
     g = reduce(operator.add, [_dense_backward(acts[-1], params, name, gh, grads) for name, gh in head_grads.items()])
     return _stack_backward(acts, params, prefix, g, grads)
 
 
-def _log_loss_and_grad(logit: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
+def _batch_mean(v: np.ndarray):
+    """Mean of (batch, 1) values: a float, or one per restart for (R, batch, 1)."""
+    mean = np.mean(v, axis=(-2, -1))
+    return float(mean) if mean.ndim == 0 else mean
+
+
+def _log_loss_and_grad(logit: np.ndarray, a: np.ndarray):
     """Mean logistic loss softplus(w) - a * w, and its gradient (sigmoid(w) - a) / n."""
-    g = np.full_like(logit, 1.0 / logit.size)
-    return float(np.mean(np.logaddexp(0.0, logit) - a * logit)), g * sigmoid(logit) + (-g) * a
+    g = np.full_like(logit, 1.0 / logit.shape[-2])
+    return _batch_mean(np.logaddexp(0.0, logit) - a * logit), g * sigmoid(logit) + (-g) * a
 
 
 def _as_col(v: np.ndarray) -> np.ndarray:
@@ -174,24 +191,74 @@ def _as_col(v: np.ndarray) -> np.ndarray:
     return v.reshape(-1, 1) if v.ndim == 1 else v
 
 
+class _Views(dict):
+    """Name -> view into a flat buffer. Setting a name writes into its view,
+    so the buffer stays the one copy of the values."""
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self[name]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{name} has shape {view.shape}, not {np.shape(value)}")
+        view[...] = value
+
+
 class _Net:
-    """Common parameter plumbing for all model classes."""
+    """Common parameter plumbing for all model classes.
+
+    ``flat`` holds every parameter back to back, in the order of the dict
+    the net was made from, and ``flat_grad`` their gradients; ``params`` and
+    ``grads`` map each name to its view into them (``_Views``). A stacked
+    net (``restarts`` R > 0) has a leading restart axis on both buffers and
+    on every view.
+
+    A pickled net carries ``flat`` alone and rebuilds its views and a zero
+    gradient when unpickled.
+    """
 
     kind = ""
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.params = params
+        self._shapes = {name: np.shape(arr) for name, arr in params.items()}
+        self._use(np.concatenate([np.ravel(arr) for arr in params.values()]).astype(np.float64))
 
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.params.items()}
+    def _use(self, flat: np.ndarray) -> None:
+        """Make ``flat``, shaped (P,) or (R, P), the parameter buffer, with a
+        zero gradient buffer of its shape, and rebuild the views."""
+        self.flat, self.flat_grad = flat, np.zeros_like(flat)
+        self.restarts = len(flat) if flat.ndim == 2 else 0
+        lead, params, grads, lo = flat.shape[:-1], {}, {}, 0
+        for name, shape in self._shapes.items():
+            hi = lo + int(np.prod(shape))
+            params[name] = flat[..., lo:hi].reshape(lead + shape)
+            grads[name] = self.flat_grad[..., lo:hi].reshape(lead + shape)
+            lo = hi
+        self.params, self.grads = _Views(params), _Views(grads)
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        if set(params) != set(self.params):
-            raise ValueError("parameter name mismatch")
-        self.params = {name: np.array(arr, dtype=np.float64) for name, arr in params.items()}
+    def _like(self, flat: np.ndarray) -> "_Net":
+        """A net of this architecture on the parameter buffer ``flat``."""
+        net = object.__new__(type(self))
+        net.__dict__.update(self.__dict__)
+        net._use(flat)
+        return net
+
+    def restart(self, r: int) -> "_Net":
+        """Restart ``r`` of a stacked net, as a single net with its own buffer."""
+        return self._like(self.flat[r].copy())
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key not in ("flat_grad", "params", "grads")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._use(self.flat)
 
     def meta(self) -> dict:
         raise NotImplementedError
+
+
+def stack_restarts(nets: list[_Net]) -> _Net:
+    """One stacked net holding ``nets``, restarts of one architecture, in order."""
+    return nets[0]._like(np.stack([net.flat for net in nets]))
 
 
 def _head_names(heads: int) -> list[str]:
@@ -238,22 +305,23 @@ class TwoBranchNet(_Net):
     def from_meta(cls, meta: dict, params: dict):
         return cls(meta["x_dim"], meta["z_dim"], MlpSpec(**meta["spec"]), params)
 
-    def loss_and_grad(self, batch: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss on ``batch`` and each parameter's gradient: squared error of
-        the head of the sample's arm (outcome), or logistic loss (propensity)."""
+    def loss_and_grad(self, batch: dict[str, np.ndarray]):
+        """Loss on ``batch``, squared error of the head of the sample's arm
+        (outcome) or logistic loss (propensity), and ``grads``, which now hold
+        its gradient (views: the next call overwrites them). A stacked net
+        takes (R, batch, ·) arrays and gives one loss per restart."""
         acts_x, acts_z, acts_h = [], [], []
         hx, hz = self._encode_np(batch["x"], batch["z"], acts_x, acts_z)
-        loss, g_heads = self._loss_and_head_grads(self._heads_np(np.concatenate([hx, hz], axis=1), acts_h), batch)
-        grads: dict[str, np.ndarray] = {}
-        g = _heads_backward(acts_h, self.params, "shared.", dict(zip(self.head_names, g_heads)), grads)
-        _stack_backward(acts_x, self.params, "x_enc.", g[:, : hx.shape[1]], grads)
-        _stack_backward(acts_z, self.params, "z_enc.", g[:, hx.shape[1] :], grads)
-        return loss, grads
+        loss, g_heads = self._loss_and_head_grads(self._heads_np(np.concatenate([hx, hz], axis=-1), acts_h), batch)
+        g = _heads_backward(acts_h, self.params, "shared.", dict(zip(self.head_names, g_heads)), self.grads)
+        _stack_backward(acts_x, self.params, "x_enc.", g[..., : hx.shape[-1]], self.grads)
+        _stack_backward(acts_z, self.params, "z_enc.", g[..., hx.shape[-1] :], self.grads)
+        return loss, self.grads
 
-    def loss(self, batch: dict[str, np.ndarray]) -> float:
+    def loss(self, batch: dict[str, np.ndarray]):
         """The loss of ``loss_and_grad`` alone: the forward pass, no backward."""
         return self._loss_and_head_grads(self._heads_np(np.concatenate(self._encode_np(batch["x"], batch["z"]),
-                                                                       axis=1)), batch)[0]
+                                                                       axis=-1)), batch)[0]
 
     def _loss_and_head_grads(self, heads: list[np.ndarray], batch: dict[str, np.ndarray]):
         a = _as_col(batch["a"])
@@ -261,9 +329,9 @@ class TwoBranchNet(_Net):
             loss, g = _log_loss_and_grad(heads[0], a)
             return loss, [g]
         diff = (heads[1] * a + heads[0] * (1.0 - a)) - _as_col(batch["y"])
-        g = np.full_like(diff, 1.0 / diff.size) * diff
+        g = np.full_like(diff, 1.0 / diff.shape[-2]) * diff
         g += g
-        return float(np.mean(diff * diff)), [g * (1.0 - a), g * a]
+        return _batch_mean(diff * diff), [g * (1.0 - a), g * a]
 
     def _encode_np(self, x: np.ndarray, z: np.ndarray, acts_x: list | None = None,
                    acts_z: list | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -349,16 +417,15 @@ class EtaNet(_Net):
     def from_meta(cls, meta: dict, params: dict):
         return cls(meta["z_dim"], meta["depth"], meta["hidden"], params)
 
-    def loss_and_grad(self, batch: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
-        """Logistic loss on ``batch`` and each parameter's gradient."""
+    def loss_and_grad(self, batch: dict[str, np.ndarray]):
+        """Logistic loss on ``batch`` and ``grads``, as ``TwoBranchNet.loss_and_grad``."""
         acts: list[np.ndarray] = []
         h = _stack_np(_as_col(batch["z"]), self.params, "z_enc.", self.depth, acts)
         loss, g = _log_loss_and_grad(_dense_np(h, self.params, "head"), _as_col(batch["a"]))
-        grads: dict[str, np.ndarray] = {}
-        _heads_backward(acts, self.params, "z_enc.", {"head": g}, grads)
-        return loss, grads
+        _heads_backward(acts, self.params, "z_enc.", {"head": g}, self.grads)
+        return loss, self.grads
 
-    def loss(self, batch: dict[str, np.ndarray]) -> float:
+    def loss(self, batch: dict[str, np.ndarray]):
         """The loss of ``loss_and_grad`` alone: the forward pass, no backward."""
         h = _stack_np(_as_col(batch["z"]), self.params, "z_enc.", self.depth)
         return _log_loss_and_grad(_dense_np(h, self.params, "head"), _as_col(batch["a"]))[0]
@@ -404,13 +471,16 @@ class PartitionNet(_Net):
         h = _stack_np(_as_col(z), self.params, "z_enc.", self.depth, acts)
         return _dense_np(h, self.params, "logits"), _dense_np(h, self.params, "aux")
 
-    def backward(self, acts: list, g_logits: np.ndarray, g_aux: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Parameter gradients from those of the outputs of the ``forward``
-        that collected ``acts``; without ``g_aux`` the aux head gets none."""
-        grads: dict[str, np.ndarray] = {}
+    def backward(self, acts: list, g_logits: np.ndarray, g_aux: np.ndarray | None = None):
+        """``grads``, now holding the parameter gradients from those of the
+        outputs of the ``forward`` that collected ``acts``; without ``g_aux``
+        the aux head's are zero."""
+        if g_aux is None:
+            self.grads["aux.w"].fill(0.0)
+            self.grads["aux.b"].fill(0.0)
         heads = {"logits": g_logits} if g_aux is None else {"logits": g_logits, "aux": g_aux}
-        _heads_backward(acts, self.params, "z_enc.", heads, grads)
-        return grads
+        _heads_backward(acts, self.params, "z_enc.", heads, self.grads)
+        return self.grads
 
     def logits(self, z: np.ndarray) -> np.ndarray:
         return self.forward(z)[0]
@@ -437,75 +507,39 @@ def gumbel_softmax(logits: np.ndarray, noise: np.ndarray | None, temperature: fl
 
 @dataclass
 class AdamState:
-    """Adam moments of one parameter dict.
+    """Adam's moments of one net, each shaped like its ``flat`` buffer, and the step count."""
 
-    ``m_flat``/``v_flat`` hold every parameter's moment back to back, in the
-    dict's order; ``m``/``v`` map each name to its view into them.
-    """
-
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        total = sum(arr.size for arr in params.values())
-        m_flat, v_flat = np.zeros(total), np.zeros(total)
-        m, v = {}, {}
-        lo = 0
-        for name, arr in params.items():
-            hi = lo + arr.size
-            m[name] = m_flat[lo:hi].reshape(arr.shape)
-            v[name] = v_flat[lo:hi].reshape(arr.shape)
-            lo = hi
-        return cls(m_flat, v_flat, m, v)
+    def for_net(cls, net: _Net) -> "AdamState":
+        return cls(np.zeros_like(net.flat), np.zeros_like(net.flat))
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update, in place. Missing grads are treated as zero.
+def adam_step(net: _Net, state: AdamState, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8) -> None:
+    """One Adam update of ``net.flat`` from ``net.flat_grad``, in place.
 
-    Every gradient is checked before anything changes, so a refused step
+    The gradient is checked before anything changes, so a refused step
     leaves the parameters and the state as they were.
     """
-    if params.keys() != state.m.keys():
-        raise ValueError("parameter names differ from the Adam state's")
-    parts = []
-    for name, m in state.m.items():
-        p = params[name]
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        if g.shape != p.shape or m.shape != p.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        parts.append(g.ravel())
-    g = np.concatenate(parts)
+    g = net.flat_grad
+    if g.shape != state.m.shape:
+        raise ValueError(f"the Adam state has shape {state.m.shape}; the net's buffer {g.shape}")
     if not np.isfinite(g).all():
-        bad = next(name for name, part in zip(state.m, parts) if not np.isfinite(part).all())
+        bad = next(name for name, part in net.grads.items() if not np.isfinite(part).all())
         raise FloatingPointError(f"non-finite gradient for {bad}")
     state.t += 1
-    m, v = state.m_flat, state.v_flat
+    m, v = state.m, state.v
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     m_hat = m / (1.0 - beta1**state.t)
     v_hat = v / (1.0 - beta2**state.t)
-    step = lr * m_hat / (np.sqrt(v_hat) + eps)
-    lo = 0
-    for name in state.m:
-        p = params[name]
-        p -= step[lo : lo + p.size].reshape(p.shape)
-        lo += p.size
+    net.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 class TrainingAbort(PicklableFields, RuntimeError):
@@ -522,6 +556,19 @@ class TrainLog:
     best_epoch: int = -1
 
 
+@dataclass
+class StackLog:
+    """The ``TrainLog`` of each restart of a stacked net trained in lockstep."""
+
+    restarts: list[TrainLog]
+
+    @property
+    def val_loss(self) -> list[list[float]]:
+        """Per lockstep epoch, the validation losses of the restarts that trained in it."""
+        epochs = max(len(log.val_loss) for log in self.restarts)
+        return [[log.val_loss[e] for log in self.restarts if e < len(log.val_loss)] for e in range(epochs)]
+
+
 def train_with_early_stopping(
     net: _Net,
     loss_fn,
@@ -529,59 +576,85 @@ def train_with_early_stopping(
     val: dict[str, np.ndarray],
     config: TrainConfig,
     val_loss_fn=None,
-    rng: np.random.Generator | None = None,
+    rng=None,
     min_batch_size: int = 2,
-) -> TrainLog:
+):
     """Minibatch Adam with early stopping on validation loss.
 
-    ``loss_fn(net, batch) -> (loss, grads)``, the gradients by parameter
-    name; a ``NonFiniteError`` inside it or a non-finite loss raises
-    ``TrainingAbort``. The net is left holding the parameters of the epoch
-    with the smallest validation loss. Validation defaults to
-    ``net.loss(val)``, the loss on the full validation arrays without its
-    gradient; pass ``val_loss_fn(net) -> float`` to override (the second
-    stage validates in hard assignment mode).
+    ``loss_fn(net, batch)`` returns the loss and leaves its gradient in
+    ``net.flat_grad``; a ``NonFiniteError`` inside it or a non-finite loss
+    raises ``TrainingAbort``. Each epoch draws one permutation of the
+    training rows from ``rng``. The net is left holding the parameters of
+    the epoch with the smallest validation loss, and the ``TrainLog`` is
+    returned. Validation defaults to ``net.loss(val)``, the loss on the full
+    validation arrays without its gradient; pass ``val_loss_fn(net) ->
+    float`` to override (the second stage validates in hard assignment mode).
+
+    A stacked net trains its R restarts in lockstep, with ``rng`` one
+    generator per restart: batch b of an epoch gathers each restart's own
+    rows into (R, batch, ·) arrays, and the loss and validation give one
+    value per restart. Each restart stops early on its own; one that stops
+    keeps its best parameters and leaves the stack, so later steps run on
+    the rest. A ``StackLog`` is returned. Restart r ends with the bits, and
+    the log, that the same loop gives restart r trained alone.
     """
     n = len(next(iter(train.values())))
     n_val = len(next(iter(val.values())))
     if n == 0 or n_val == 0:
         raise ValueError("train and validation splits must be non-empty")
-    rng = rng if rng is not None else stream_rng(config.seed, "train-batches")
-    state = AdamState.for_params(net.params)
-    log = TrainLog()
-    best_val = np.inf
-    best_params = net.copy_params()
-    stale = 0
+    stacked = net.restarts > 0
+    rngs = list(rng) if stacked else [rng if rng is not None else stream_rng(config.seed, "train-batches")]
+    if len(rngs) != max(net.restarts, 1):
+        raise ValueError(f"{len(rngs)} batch streams for {net.restarts} restarts")
+    logs = [TrainLog() for _ in rngs]
+    active = list(range(len(rngs)))  # the restart of each row of the stack
+    state = AdamState.for_net(net)
+    best = net.flat.reshape(len(rngs), -1).copy()
+    best_val = [np.inf] * len(rngs)
+    stale = [0] * len(rngs)
     for epoch in range(config.max_epochs):
-        perm = rng.permutation(n)
+        perms = np.stack([rngs[r].permutation(n) for r in active])
         epoch_losses = []
         for b, lo in enumerate(range(0, n, config.batch_size)):
-            idx = perm[lo : lo + config.batch_size]
-            if len(idx) < min_batch_size:
+            idx = perms[:, lo : lo + config.batch_size]
+            if idx.shape[1] < min_batch_size:
                 continue
-            batch = {key: arr[idx] for key, arr in train.items()}
+            batch = {key: arr[idx if stacked else idx[0]] for key, arr in train.items()}
             try:
-                value, grads = loss_fn(net, batch)
+                value = np.atleast_1d(loss_fn(net, batch))
             except ad.NonFiniteError as exc:
                 raise TrainingAbort(epoch, b, str(exc)) from exc
-            if not np.isfinite(value):
-                raise TrainingAbort(epoch, b, "loss is not finite")
-            adam_step(net.params, grads, state, config.learning_rate)
+            if not np.isfinite(value).all():
+                where = f"restart {active[int(np.argmin(np.isfinite(value)))]}: " if stacked else ""
+                raise TrainingAbort(epoch, b, f"{where}loss is not finite")
+            adam_step(net, state, config.learning_rate)
             epoch_losses.append(value)
-        v = float(val_loss_fn(net) if val_loss_fn is not None else net.loss(val))
-        log.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else np.nan)
-        log.val_loss.append(v)
-        if v < best_val:
-            best_val = v
-            best_params = net.copy_params()
-            log.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    net.set_params(best_params)
-    return log
+        values = np.atleast_1d(val_loss_fn(net) if val_loss_fn is not None else net.loss(val))
+        # One contiguous row of batch losses per restart, so each mean sums in the order of a lone restart's.
+        train_means = (np.ascontiguousarray(np.transpose(epoch_losses)).mean(axis=1) if epoch_losses
+                       else np.full(len(active), np.nan))
+        rows = net.flat.reshape(len(active), -1)
+        keep = []
+        for i, r in enumerate(active):
+            log, v = logs[r], float(values[i])
+            log.train_loss.append(float(train_means[i]))
+            log.val_loss.append(v)
+            if v < best_val[r]:
+                best_val[r], best[r], stale[r] = v, rows[i], 0
+                log.best_epoch = epoch
+            else:
+                stale[r] += 1
+                if stale[r] >= config.patience:
+                    continue
+            keep.append(i)
+        if not keep:
+            break
+        if len(keep) < len(active):
+            active = [active[i] for i in keep]
+            net._use(net.flat[keep])
+            state.m, state.v = state.m[keep], state.v[keep]
+    net._use(best if stacked else best[0])
+    return StackLog(logs) if stacked else logs[0]
 
 
 _NET_KINDS = {

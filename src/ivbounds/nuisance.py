@@ -5,15 +5,16 @@ The three fits share the train/val split and the architecture family
 are made read-only so any later write attempt fails loudly, also in a copy
 unpickled in another process.
 
-Each net is the best of ``config.restarts`` independent fits. The restarts
-of one net run in parallel through ``parallel.map_tasks``: the caller and
-forked workers each train whole restarts, and the caller picks the winner.
-Restart ``r`` draws only from the streams ``"{net}-init-{r}"`` and
-``"{net}-batches-{r}"``, and the winner is the first restart with the
-smallest validation loss, so the result is the same in every process and
-for every worker count. Inside a pool worker (a sweep) the restarts run
-serially. ``fit_mu``, ``fit_pi`` and ``fit_eta`` stay separate calls, one
-parallel map each.
+Each net is the best of ``config.restarts`` independent fits, trained in
+lockstep as one stacked net (``nets.stack_restarts``): each step runs all
+restarts still training in one forward and backward pass on (R, batch, ·)
+arrays. Restart ``r`` draws only from the streams ``"{net}-init-{r}"`` and
+``"{net}-batches-{r}"`` and stops early on its own, and the winner is the
+first restart with the smallest validation loss, so each restart, and the
+result, has the bits of the restart trained alone. ``fit_nuisances`` maps
+``fit_mu``, ``fit_pi`` and ``fit_eta`` over the usable CPUs through
+``parallel.map_tasks`` (serially inside a pool worker, such as a sweep's);
+each net's result is the same in every process and for every worker count.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ import numpy as np
 
 from . import InputError, parallel
 from .data import DatasetSplit, SampleBatch
-from .nets import (OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TrainLog, TwoBranchNet,
+from .nets import (OUTCOME_SPEC, PROPENSITY_SPEC, EtaNet, TrainConfig, TrainLog, TwoBranchNet, stack_restarts,
                    train_with_early_stopping)
 from .rng import stream_rng
 
 
 def _arrays(batch: SampleBatch) -> dict[str, np.ndarray]:
-    return {"x": batch.x, "z": batch.z, "a": batch.a.astype(np.float64), "y": batch.y}
+    """The split's columns as (n, ·) arrays, so a stacked batch is (R, batch, ·)."""
+    return {"x": batch.x.reshape(-1, 1), "z": batch.z, "a": batch.a.astype(np.float64).reshape(-1, 1),
+            "y": batch.y.reshape(-1, 1)}
 
 
 @dataclass
@@ -46,7 +49,7 @@ class NuisanceSet:
 
     def freeze(self) -> "NuisanceSet":
         for net in (self.mu, self.pi, self.eta):
-            for arr in net.params.values():
+            for arr in (net.flat, *net.params.values()):
                 arr.setflags(write=False)
         self.frozen = True
         return self
@@ -67,26 +70,18 @@ class NuisanceSet:
         return h.hexdigest()
 
 
-def _fit_restart(create, split: DatasetSplit, config: TrainConfig, name: str, r: int) -> tuple:
-    net = create(stream_rng(config.seed, f"{name}-init-{r}"))
-    log = train_with_early_stopping(
-        net,
-        lambda m, b: m.loss_and_grad(b),
-        _arrays(split.train),
-        _arrays(split.val),
-        config,
-        rng=stream_rng(config.seed, f"{name}-batches-{r}"),
-    )
-    return net, log
-
-
 def _fit_best(create, split: DatasetSplit, config: TrainConfig, name: str) -> tuple:
     """Best of ``config.restarts`` independently initialized fits by
     minimum validation loss; the spread across inits is large enough at
     n = 2000 that a single fit occasionally misses structure the bound
     estimators depend on."""
-    fits = parallel.map_tasks(_fit_restart, [(create, split, config, name, r) for r in range(config.restarts)])
-    return min(fits, key=lambda fit: min(fit[1].val_loss))
+    restarts = range(config.restarts)
+    stack = stack_restarts([create(stream_rng(config.seed, f"{name}-init-{r}")) for r in restarts])
+    logs = train_with_early_stopping(stack, lambda m, b: m.loss_and_grad(b)[0], _arrays(split.train),
+                                     _arrays(split.val), config,
+                                     rng=[stream_rng(config.seed, f"{name}-batches-{r}") for r in restarts]).restarts
+    best = min(restarts, key=lambda r: min(logs[r].val_loss))
+    return stack.restart(best), logs[best]
 
 
 def fit_mu(split: DatasetSplit, config: TrainConfig) -> tuple[TwoBranchNet, TrainLog]:
@@ -112,8 +107,7 @@ def fit_eta(split: DatasetSplit, config: TrainConfig) -> tuple[EtaNet, TrainLog]
 
 
 def fit_nuisances(split: DatasetSplit, config: TrainConfig) -> NuisanceSet:
-    mu, mu_log = fit_mu(split, config)
-    pi, pi_log = fit_pi(split, config)
-    eta, eta_log = fit_eta(split, config)
+    (mu, mu_log), (pi, pi_log), (eta, eta_log) = parallel.map_tasks(lambda fit: fit(split, config),
+                                                                    [(fit_mu,), (fit_pi,), (fit_eta,)])
     out = NuisanceSet(mu=mu, pi=pi, eta=eta, logs={"mu": mu_log, "pi": pi_log, "eta": eta_log})
     return out.freeze()

@@ -1,9 +1,11 @@
 """Run independent tasks in parallel processes, in one place.
 
 ``map_tasks(fn, tasks)`` calls ``fn(*task)`` for every task and returns the
-results in task order. The callers are the restarts of one fit
-(``nuisance``, ``partition``, ``naive``) and the runs of a sweep
-(``experiments.run_sweep``). Each task draws only from its own named random
+results in task order. The callers are the three stage-1 nets
+(``nuisance.fit_nuisances``; each trains its restarts in lockstep in one
+task), the restarts of stage 2 (``partition``), the two naive nets
+(``naive``) and the runs of a sweep (``experiments.run_sweep``). Each task
+draws only from its own named random
 streams, so its result does not depend on which process runs it or when:
 every worker count gives the same bytes. Those bytes are fixed per BLAS
 thread count (see ``experiments``).
@@ -16,14 +18,15 @@ How the work is spread:
 - Workers are forked, so they inherit the tasks and the function instead of
   receiving pickled copies; only results (and errors) are pickled back. A
   spawned worker would start a fresh interpreter and import numpy and the
-  package, about 0.3 s on a 2-vCPU VM, as long as one stage-1 restart on
-  d3-ours-k8 (0.17-0.43 s). The package starts no threads, and the
+  package, about 0.3 s on a 2-vCPU VM, about as long as one stage-2
+  restart of a small run. The package starts no threads, and the
   executor starts its own only after its workers have forked.
 - Pools never nest. The caller marks itself as inside a pool while it
   serves its own map, and its workers fork with that mark set; a
   ``map_tasks`` call made inside a pool runs its tasks serially. So a sweep
-  over several processes trains each run's restarts serially, and a lone
-  run spreads its restarts over the free CPUs.
+  over several processes trains each run's nets and restarts serially, and
+  a lone run spreads its stage-1 nets, then its stage-2 restarts, over the
+  free CPUs.
 - A failed task stops further claims. The error of the lowest failing task
   index is raised, as the serial loop would raise it; an error raised in a
   worker carries the worker's traceback as its cause.

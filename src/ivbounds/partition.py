@@ -244,7 +244,8 @@ def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: Ou
 
 def composite_loss_and_grad(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
                             config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
-    """``composite_loss_graph`` and its total's gradient in each net parameter: (root, parts, grads)."""
+    """``composite_loss_graph`` and its total's gradient in each net parameter: (root, parts, grads),
+    ``grads`` the net's gradient views."""
     root, parts, acts, _ = composite_loss_graph(net, const, rng_range, config, noise, hard)
     g = ad.backward_grad(root)
     return root, parts, net.backward(acts, g["logits"], g["aux"])
@@ -292,9 +293,8 @@ def _fresh_partition_net(split: DatasetSplit, config: TrainConfig, tag: str) -> 
     instruments starts from a crisp, data-dependent partition.
     """
     net = PartitionNet.create(split.train.d, config.k, stream_rng(config.seed, f"partition-init-{tag}"))
-    for name in net.params:
-        net.params[name] = net.params[name] * INIT_LOGIT_SCALE
-    net.params["logits.b"] = net.params["logits.b"] - net.logits(split.train.z).mean(axis=0)
+    net.flat *= INIT_LOGIT_SCALE
+    net.params["logits.b"] -= net.logits(split.train.z).mean(axis=0)
     return net
 
 
@@ -302,7 +302,7 @@ def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
                           config: TrainConfig, tag: str, epochs: int = 25) -> None:
     """Pre-train the assignment logits toward candidate cell labels."""
     onehot = bnd.one_hot(labels, net.k)
-    state = nets.AdamState.for_params(net.params)
+    state = nets.AdamState.for_net(net)
     rng = stream_rng(config.seed, f"partition-warm-{tag}")
     for _ in range(epochs):
         perm = rng.permutation(len(labels))
@@ -312,8 +312,8 @@ def _warm_start_to_labels(net: PartitionNet, z: np.ndarray, labels: np.ndarray,
                 continue
             acts: list[np.ndarray] = []
             logits = net.forward(z[idx], acts)[0]
-            grads = net.backward(acts, cross_entropy(logits, onehot[idx])[1])
-            nets.adam_step(net.params, grads, state, config.learning_rate)
+            net.backward(acts, cross_entropy(logits, onehot[idx])[1])
+            nets.adam_step(net, state, config.learning_rate)
 
 
 def _quantile_labels(values: np.ndarray, k: int) -> np.ndarray:
@@ -382,11 +382,11 @@ def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCon
         idx = batch["idx"].astype(int)
         const = train_const.subset(idx)
         noise = sample_gumbel((len(idx), config.k), gumbel_rng)
-        root, parts, grads = composite_loss_and_grad(model, const, rng_range, config, noise, hard=True)
+        root, parts, _ = composite_loss_and_grad(model, const, rng_range, config, noise, hard=True)
         batch_parts.append(CompositeLossBreakdown(l_b=np.nan if parts["l_b"] is None else parts["l_b"],
                                                   l_reg=parts["l_reg"], l_aux=parts["l_aux"],
                                                   lam=config.lam, gamma=config.gamma))
-        return float(root.value), grads
+        return float(root.value)
 
     def val_loss(model):
         total, breakdown, info = validation_loss(model, val_const, rng_range, config)

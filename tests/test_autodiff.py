@@ -107,7 +107,7 @@ def _mlp_loss_and_input_grad(x):
     acts = []
     h = nets._stack_np(x, params, "h", 1, acts)
     diff = nets._dense_np(h, params, "out") - target
-    grads = {}
+    grads = {name: np.empty_like(p) for name, p in params.items()}
     g = nets._dense_backward(h, params, "out", 2.0 * diff / diff.size, grads)
     return float(np.mean(diff * diff)), nets._stack_backward(acts, params, "h", g, grads)
 
@@ -143,7 +143,7 @@ def _case_matmul():
 
     def loss_and_grads():
         params = {"l0.w": arrays["l0.w"], "l0.b": b}
-        grads = {}
+        grads = {name: np.empty_like(p) for name, p in params.items()}
         g_h = nets._dense_backward(arrays["h"], params, "l0", coeff, grads)
         return float(np.sum(coeff * nets._dense_np(arrays["h"], params, "l0"))), {"h": g_h, "l0.w": grads["l0.w"]}
 
@@ -248,10 +248,11 @@ def test_determinism_bitwise():
     # The same for the composite loss through its graph.
     const, net, noise = checks._loss_case()
     config = nets.TrainConfig(k=net.k, batch_size=len(const))
-    runs = [partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise) for _ in range(2)]
-    assert float(runs[0][0].value) == float(runs[1][0].value)
+    runs = [(float(root.value), {name: g.copy() for name, g in grads.items()}) for root, _, grads in
+            (partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise) for _ in range(2))]
+    assert runs[0][0] == runs[1][0]
     for name in net.params:
-        assert np.array_equal(runs[0][2][name], runs[1][2][name]), name
+        assert np.array_equal(runs[0][1][name], runs[1][1][name]), name
 
 
 def test_chain_rule_composition():
@@ -322,7 +323,7 @@ def test_dense_is_bitwise_the_unfused_layer(operands, relu):
     hv, wv, bv = operands
     params = {"l0.w": wv, "l0.b": bv}
     coeff = np.linspace(-1.0, 2.0, hv.shape[0] * wv.shape[1]).reshape(hv.shape[0], wv.shape[1])
-    grads = {}
+    grads = {name: np.empty_like(p) for name, p in params.items()}
     if relu:
         acts = []
         out = nets._stack_np(hv, params, "l", 1, acts)

@@ -103,6 +103,17 @@ def test_oracle_run_deterministic(tmp_path):
     assert fa.read_bytes() == fb.read_bytes()
 
 
+def test_oracle_run_records_its_k_in_metrics_and_manifest(tmp_path):
+    # One k per run directory: the oracle's six rho cells go to metrics.json's extra.
+    assert run_cli("run", "--dataset", "3", "--method", "oracle", "--k", "4", "--seed", "1",
+                   "--n", "60", "--out", str(tmp_path)) == 0
+    run_dir = tmp_path / "d3_oracle_k4_seed1"
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert metrics["k"] == manifest["config"]["k"] == 4
+    assert metrics["extra"]["rho_levels"] == 6
+
+
 def test_oracle_rejects_other_datasets(tmp_path):
     with pytest.raises(ValueError):
         cli.cmd_run(cli.build_parser().parse_args(

@@ -1,8 +1,12 @@
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds import InputError, bounds, experiments, metrics
 
@@ -128,3 +132,23 @@ def test_reproduce_table_small(tmp_path):
         assert (d / "bounds.csv").exists()
     # MSD column filled (two k values per method/dataset at shared grid)
     assert all(np.isfinite(row.msd_mean) for row in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from(["ours", "naive"]), st.sampled_from([1, 2, 4, 8]),
+       st.integers(5, 80), st.integers(1, 3), st.integers(0, 3))
+def test_tiny_inputs_are_refused_or_give_finite_bounds(dataset, method, k, n, restarts, seed):
+    # Every tiny configuration either raises InputError, and so exits 2, or
+    # writes finite bounds with its crossing rate recorded. Crossed bounds are
+    # the estimator's output and stay written.
+    overrides = {"max_epochs": 2, "restarts": restarts}
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            experiments.run_experiment(dataset, method, k, seed, n=n, out_dir=tmp, overrides=overrides)
+        except InputError:
+            assert not Path(tmp, "bounds.csv").exists()
+            return
+        pair = bounds.BoundPair.from_csv(Path(tmp, "bounds.csv"))
+        assert len(pair.x) > 0 and np.isfinite(pair.lower).all() and np.isfinite(pair.upper).all()
+        report = metrics.MetricsReport.from_json(Path(tmp, "metrics.json"))
+        assert report.crossing_rate == metrics.crossing_rate(pair)

@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -10,6 +11,12 @@ from ivbounds import autodiff as ad
 from ivbounds import checks, nets, partition
 from ivbounds.data import sigmoid
 from ivbounds.rng import stream_rng
+
+STAGE1_NETS = {
+    "outcome": lambda z_dim, rng: nets.TwoBranchNet.create(1, z_dim, rng, nets.OUTCOME_SPEC),
+    "propensity": lambda z_dim, rng: nets.TwoBranchNet.create(1, z_dim, rng, nets.PROPENSITY_SPEC),
+    "eta": lambda z_dim, rng: nets.EtaNet.create(z_dim, rng),
+}
 
 
 def test_mlpspec_validation():
@@ -72,54 +79,55 @@ def test_assignment_graph_straight_through_equals_soft_gradient():
     const, net, noise = checks._loss_case()
     const = partition.BatchConstants(**{**vars(const), "a": np.ones(len(const))})
     config = nets.TrainConfig(k=net.k, batch_size=len(const), lam=1.5, gamma=0.5)
-    hard, soft = (partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise, hard=mode)
-                  for mode in (True, False))
-    assert hard[1] == soft[1] and hard[1]["l_b"] is None
+    hard, soft = ((parts, {name: g.copy() for name, g in grads.items()}) for _, parts, grads in
+                  (partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise, hard=mode)
+                   for mode in (True, False)))
+    assert hard[0] == soft[0] and hard[0]["l_b"] is None
     for name in net.params:
-        np.testing.assert_array_equal(hard[2][name], soft[2][name])
+        np.testing.assert_array_equal(hard[1][name], soft[1][name])
 
 
 # ---------------------------------------------------------------- adam
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
-    state = nets.AdamState.for_params(params)
-    nets.adam_step(params, {"w": np.zeros(2)}, state, lr=0.03)
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+    net = nets._Net({"w": np.array([1.0, -2.0])})
+    state = nets.AdamState.for_net(net)
+    nets.adam_step(net, state, lr=0.03)
+    np.testing.assert_array_equal(net.params["w"], [1.0, -2.0])
     assert state.t == 1
 
 
 def test_adam_bias_corrected_first_moment_after_one_step():
-    params = {"w": np.array([0.0])}
-    state = nets.AdamState.for_params(params)
-    g = np.array([0.3])
-    nets.adam_step(params, {"w": g}, state, lr=0.1)
-    m_hat = state.m["w"] / (1.0 - 0.9**1)
-    np.testing.assert_allclose(m_hat, g)
+    net = nets._Net({"w": np.array([0.0])})
+    state = nets.AdamState.for_net(net)
+    net.grads["w"] = np.array([0.3])
+    nets.adam_step(net, state, lr=0.1)
+    m_hat = state.m / (1.0 - 0.9**1)
+    np.testing.assert_allclose(m_hat, [0.3])
 
 
 def test_adam_converges_on_quadratic():
-    params = {"w": np.array([0.0])}
-    state = nets.AdamState.for_params(params)
+    net = nets._Net({"w": np.array([0.0])})
+    state = nets.AdamState.for_net(net)
     for _ in range(2000):
-        grad = 2.0 * (params["w"] - 5.0)
-        nets.adam_step(params, {"w": grad}, state, lr=0.03)
-    assert abs(params["w"][0] - 5.0) < 1e-2
+        net.grads["w"] = 2.0 * (net.params["w"] - 5.0)
+        nets.adam_step(net, state, lr=0.03)
+    assert abs(net.params["w"][0] - 5.0) < 1e-2
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = {"w": np.array([0.0])}
-    state = nets.AdamState.for_params(params)
+    net = nets._Net({"w": np.array([0.0])})
+    state = nets.AdamState.for_net(net)
+    net.grads["w"] = np.array([np.nan])
     with pytest.raises(FloatingPointError):
-        nets.adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
+        nets.adam_step(net, state, lr=0.1)
 
 
 def test_adam_rejects_shape_mismatch():
-    params = {"w": np.array([0.0, 1.0])}
-    state = nets.AdamState.for_params(params)
+    net = nets._Net({"w": np.array([0.0, 1.0])})
     with pytest.raises(ValueError):
-        nets.adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+        nets.adam_step(net, nets.AdamState(np.zeros(3), np.zeros(3)), lr=0.1)
 
 
 def _adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -140,39 +148,44 @@ def _adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8
     st.floats(1e-3, 0.5),
 )
 def test_flat_adam_is_bitwise_the_per_array_update(shapes, seed, lr):
+    # A missing gradient is a zero in the flat gradient buffer.
     rng = np.random.default_rng(seed)
-    params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
-    ref_params = {name: p.copy() for name, p in params.items()}
-    state = nets.AdamState.for_params(params)
-    ref_m = {name: np.zeros_like(p) for name, p in params.items()}
-    ref_v = {name: np.zeros_like(p) for name, p in params.items()}
+    net = nets._Net({f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)})
+    ref_params = {name: p.copy() for name, p in net.params.items()}
+    state = nets.AdamState.for_net(net)
+    ref_m = {name: np.zeros_like(p) for name, p in ref_params.items()}
+    ref_v = {name: np.zeros_like(p) for name, p in ref_params.items()}
     for t in range(1, 51):
         grads = {name: rng.normal(size=p.shape) * rng.choice([0.0, 1e-3, 1.0, 10.0])
-                 for name, p in params.items() if rng.random() < 0.8}
-        nets.adam_step(params, grads, state, lr)
+                 for name, p in ref_params.items() if rng.random() < 0.8}
+        net.flat_grad.fill(0.0)
+        for name, g in grads.items():
+            net.grads[name] = g
+        nets.adam_step(net, state, lr)
         _adam_reference(ref_params, grads, ref_m, ref_v, t, lr)
         assert state.t == t
-        for name in params:
-            assert np.array_equal(params[name], ref_params[name])
-            assert np.array_equal(state.m[name], ref_m[name])
-            assert np.array_equal(state.v[name], ref_v[name])
-    for name in params:
-        assert np.shares_memory(state.m[name], state.m_flat)
-        assert np.shares_memory(state.v[name], state.v_flat)
+        for name in ref_params:
+            assert np.array_equal(net.params[name], ref_params[name])
+        assert np.array_equal(state.m, np.concatenate([ref_m[name].ravel() for name in ref_params]))
+        assert np.array_equal(state.v, np.concatenate([ref_v[name].ravel() for name in ref_params]))
+    for name in ref_params:
+        assert np.shares_memory(net.params[name], net.flat)
+        assert np.shares_memory(net.grads[name], net.flat_grad)
 
 
 def test_adam_refusal_names_the_parameter_and_changes_nothing():
-    params = {"w": np.array([1.0, 2.0]), "b": np.array([0.5])}
-    state = nets.AdamState.for_params(params)
-    nets.adam_step(params, {"w": np.array([0.1, 0.2]), "b": np.array([0.3])}, state, lr=0.1)
-    before = {name: p.copy() for name, p in params.items()}
-    m_before, v_before = state.m_flat.copy(), state.v_flat.copy()
+    net = nets._Net({"w": np.array([1.0, 2.0]), "b": np.array([0.5])})
+    state = nets.AdamState.for_net(net)
+    net.grads["w"], net.grads["b"] = np.array([0.1, 0.2]), np.array([0.3])
+    nets.adam_step(net, state, lr=0.1)
+    before = net.flat.copy()
+    m_before, v_before = state.m.copy(), state.v.copy()
+    net.grads["b"] = np.array([np.inf])
     with pytest.raises(FloatingPointError, match="for b"):
-        nets.adam_step(params, {"w": np.array([0.1, 0.2]), "b": np.array([np.inf])}, state, lr=0.1)
-    for name in params:
-        np.testing.assert_array_equal(params[name], before[name])
-    np.testing.assert_array_equal(state.m_flat, m_before)
-    np.testing.assert_array_equal(state.v_flat, v_before)
+        nets.adam_step(net, state, lr=0.1)
+    np.testing.assert_array_equal(net.flat, before)
+    np.testing.assert_array_equal(state.m, m_before)
+    np.testing.assert_array_equal(state.v, v_before)
     assert state.t == 1
 
 
@@ -213,7 +226,8 @@ class _LinearNet(nets._Net):
         x = batch["x"].reshape(-1, 1)
         diff = x @ self.params["w"] + self.params["b"] - batch["y"].reshape(-1, 1)
         g = 2.0 * diff / diff.size
-        return float(np.mean(diff * diff)), {"w": x.T @ g, "b": g.sum(axis=0)}
+        self.grads["w"], self.grads["b"] = x.T @ g, g.sum(axis=0)
+        return float(np.mean(diff * diff)), self.grads
 
     def loss(self, batch):
         return self.loss_and_grad(batch)[0]
@@ -231,7 +245,7 @@ def test_training_recovers_linear_regression():
     val = _linear_data(1, n=100)
     net = _LinearNet.create(stream_rng(2, "init"))
     config = nets.TrainConfig(max_epochs=100, batch_size=64, k=1, seed=5)
-    nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
+    nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b)[0], train, val, config)
     # Closed-form least squares oracle on the train split.
     slope_ls = np.polyfit(train["x"], train["y"], 1)[0]
     assert abs(net.params["w"][0, 0] - slope_ls) < 0.05
@@ -245,7 +259,7 @@ def test_training_is_deterministic():
     def run():
         net = _LinearNet.create(stream_rng(2, "init"))
         config = nets.TrainConfig(max_epochs=20, batch_size=64, k=1, seed=5)
-        nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
+        nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b)[0], train, val, config)
         return net.params
 
     p1, p2 = run(), run()
@@ -263,15 +277,14 @@ def test_early_stopping_contract():
     calls = []
 
     def rigged_val(m):
-        calls.append(m.copy_params())
+        calls.append(m.flat.copy())
         return float(len(calls))
 
-    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config,
+    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b)[0], train, val, config,
                                          val_loss_fn=rigged_val)
     assert len(log.val_loss) == 6
     assert log.best_epoch == 0
-    for name, arr in calls[0].items():
-        np.testing.assert_array_equal(net.params[name], arr)
+    np.testing.assert_array_equal(net.flat, calls[0])
 
 
 def test_early_stopping_returns_minimum_validation_loss_weights():
@@ -279,7 +292,7 @@ def test_early_stopping_returns_minimum_validation_loss_weights():
     val = _linear_data(4, n=100)
     net = _LinearNet.create(stream_rng(6, "init"))
     config = nets.TrainConfig(max_epochs=30, batch_size=64, k=1, seed=7)
-    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, val, config)
+    log = nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b)[0], train, val, config)
     final_val = net.loss_and_grad(val)[0]
     assert final_val <= min(log.val_loss) + 1e-12
 
@@ -294,7 +307,7 @@ def test_default_validation_takes_the_loss_only_path():
 
     def loss_fn(m, b):
         seen.append(len(b["x"]))
-        return m.loss_and_grad(b)
+        return m.loss_and_grad(b)[0]
 
     def loss(batch, original=net.loss):
         val_losses.append(original(batch))
@@ -312,8 +325,82 @@ def test_training_aborts_on_nan_loss():
 
     config = nets.TrainConfig(max_epochs=3, batch_size=4, k=1, seed=0)
     with pytest.raises(nets.TrainingAbort) as exc:
-        nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b), train, train, config)
+        nets.train_with_early_stopping(net, lambda m, b: m.loss_and_grad(b)[0], train, train, config)
     assert exc.value.epoch == 0
+
+
+def _stage1_arrays(n, rng, treated):
+    """(n, ·) stage-1 columns: x, two z columns, treatment at rate ``treated`` (1: every sample), y."""
+    z = rng.normal(size=(n, 2))
+    a = np.ones(n) if treated == 1 else (rng.random(n) < treated) * 1.0
+    x = rng.uniform(-1, 1, n)
+    y = x + a * z[:, 0] + 0.3 * rng.normal(size=n)
+    return {"x": x.reshape(-1, 1), "z": z, "a": a.reshape(-1, 1), "y": y.reshape(-1, 1)}
+
+
+LOCKSTEP_CASES = {  # (restarts, patience, treated share, seed)
+    "staggered": (3, 3, 0.5, 2),  # the restarts stop at different epochs
+    "patience-1": (3, 1, 0.5, 5),  # a restart stops after its first epoch
+    "one-restart": (1, 3, 0.5, 2),
+    "one-arm": (3, 3, 1.0, 3),  # every batch holds treated samples only
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+@pytest.mark.parametrize("kind", sorted(STAGE1_NETS))
+def test_lockstep_restarts_are_bitwise_the_restarts_alone(kind, case):
+    # Restart r of a stack trained in lockstep ends with the parameters and
+    # the log (train and validation loss, best epoch) that the same loop
+    # gives it alone with its own init and batch streams. Ten batches per
+    # epoch: from eight on, numpy sums a mean's terms pairwise.
+    restarts, patience, treated, seed = LOCKSTEP_CASES[case]
+    rng = np.random.default_rng(seed)
+    train, val = _stage1_arrays(320, rng, treated), _stage1_arrays(96, rng, treated)
+    config = nets.TrainConfig(max_epochs=40, patience=patience, seed=seed)
+
+    def init(r):
+        return STAGE1_NETS[kind](2, stream_rng(seed, f"lockstep-init-{r}"))
+
+    def batches(r):
+        return stream_rng(seed, f"lockstep-batches-{r}")
+
+    stack = nets.stack_restarts([init(r) for r in range(restarts)])
+    logs = nets.train_with_early_stopping(stack, lambda m, b: m.loss_and_grad(b)[0], train, val, config,
+                                          rng=[batches(r) for r in range(restarts)]).restarts
+    assert stack.restarts == len(logs) == restarts
+    for r, log in enumerate(logs):
+        alone = init(r)
+        want = nets.train_with_early_stopping(alone, lambda m, b: m.loss_and_grad(b)[0], train, val, config,
+                                              rng=batches(r))
+        assert np.array_equal(stack.flat[r], alone.flat), r
+        assert np.array_equal(log.train_loss, want.train_loss) and log.val_loss == want.val_loss, r
+        assert log.best_epoch == want.best_epoch, r
+        for name, p in stack.restart(r).params.items():
+            assert np.array_equal(p, alone.params[name]), (r, name)
+    epochs = [len(log.val_loss) for log in logs]
+    if case == "staggered":
+        assert len(set(epochs)) > 1
+    elif case == "patience-1":
+        assert min(epochs) == 2
+    elif case == "one-arm":
+        assert np.all(train["a"] == 1.0)
+
+
+def test_stack_log_counts_lockstep_epochs():
+    logs = [nets.TrainLog([0.0] * 3, [1.0, 2.0, 3.0], 0), nets.TrainLog([0.0], [4.0], 0)]
+    assert nets.StackLog(logs).val_loss == [[1.0, 4.0], [2.0], [3.0]]
+
+
+def test_pickled_net_rebuilds_its_flat_buffer():
+    # The views of an unpickled net share one new buffer, as they did before.
+    net = nets.stack_restarts([nets.EtaNet.create(2, stream_rng(r, "init")) for r in range(2)])
+    copy = pickle.loads(pickle.dumps(net))
+    assert copy.restarts == 2 and np.array_equal(copy.flat, net.flat)
+    for name, p in copy.params.items():
+        assert np.shares_memory(p, copy.flat) and np.shares_memory(copy.grads[name], copy.flat_grad)
+        assert np.array_equal(p, net.params[name])
+    copy.params["head.b"] = np.ones((2, 1))
+    assert np.all(copy.flat[:, -1] == 1.0) and not np.any(net.flat[:, -1] == 1.0)
 
 
 # ---------------------------------------------------------------- architectures
@@ -576,23 +663,42 @@ def _on_quarter_grid(net, rng):
     return net
 
 
+def _redrawn(batch, rng):
+    """A batch of the same size and arms with new x, z and y on the quarter grid."""
+    return {**{key: rng.integers(-4, 5, v.shape) / 4.0 for key, v in batch.items()}, "a": batch["a"]}
+
+
+def _columns(batch):
+    """The (n, ·) arrays stage 1 trains on, so that stacking gives (R, n, ·)."""
+    return {key: v.reshape(len(v), -1) for key, v in batch.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(_quarter_grid_cases())
 def test_loss_and_grad_is_bitwise_the_fused_layer_graph(case):
     rng, batch = case
     z_dim = batch["z"].shape[1]
-    for net, reference in [
-        (nets.TwoBranchNet.create(1, z_dim, rng, nets.OUTCOME_SPEC), _ref_two_branch),
-        (nets.TwoBranchNet.create(1, z_dim, rng, nets.PROPENSITY_SPEC), _ref_two_branch),
-        (nets.EtaNet.create(z_dim, rng), _ref_eta),
-    ]:
-        _on_quarter_grid(net, rng)
+    for kind, make in STAGE1_NETS.items():
+        net = _on_quarter_grid(make(z_dim, rng), rng)
         loss, grads = net.loss_and_grad(batch)
-        ref_loss, ref_grads = reference(net, batch)
+        ref_loss, ref_grads = (_ref_eta if kind == "eta" else _ref_two_branch)(net, batch)
         assert loss == ref_loss == net.loss(batch), net.kind
         assert grads.keys() == ref_grads.keys() == net.params.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), (net.kind, name)
+
+        # Slice r of a stacked net on (R, n, ·) batches is restart r alone on
+        # batch r; on one (n, ·) validation batch it is restart r on it.
+        singles = [net] + [_on_quarter_grid(make(z_dim, rng), rng) for _ in range(2)]
+        batches = [_columns(batch)] + [_columns(_redrawn(batch, rng)) for _ in range(2)]
+        stack = nets.stack_restarts(singles)
+        losses, stacked = stack.loss_and_grad({key: np.stack([b[key] for b in batches]) for key in batch})
+        val_losses = stack.loss(batches[0])
+        for r, (single, b) in enumerate(zip(singles, batches)):
+            loss, grads = single.loss_and_grad(b)
+            assert losses[r] == loss and val_losses[r] == single.loss(batches[0]), (net.kind, r)
+            for name in grads:
+                assert np.array_equal(stacked[name][r], grads[name]), (net.kind, r, name)
 
     net = _on_quarter_grid(nets.PartitionNet.create(z_dim, 3, rng), rng)
     acts = []
@@ -604,9 +710,10 @@ def test_loss_and_grad_is_bitwise_the_fused_layer_graph(case):
     for g in (g_aux, None):
         grads = net.backward(acts, g_logits, g)
         ref_grads = _ref_partition_backward(net, batch["z"], g_logits, g)
-        assert grads.keys() == ref_grads.keys()
+        assert grads.keys() == net.params.keys()
         for name in grads:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            want = ref_grads[name] if name in ref_grads else np.zeros(net.params[name].shape)
+            assert np.array_equal(grads[name], want), name
 
 
 # ---------------------------------------------------------------- checkpoints

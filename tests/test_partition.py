@@ -391,7 +391,7 @@ def test_relabeling_invariance(small_setup):
     base_b = _l_b(net, const, rng_range)
     base_reg = _l_reg(partition.hard_assignment(net, batch.z))
     perm = np.array([1, 0])
-    permuted = PartitionNet.from_meta(net.meta(), net.copy_params())
+    permuted = PartitionNet.from_meta(net.meta(), net.params)  # a net of its own: the constructor copies
     permuted.params["logits.w"] = net.params["logits.w"][:, perm].copy()
     permuted.params["logits.b"] = net.params["logits.b"][perm].copy()
     permuted.params["aux.w"] = net.params["aux.w"][:, perm].copy()
