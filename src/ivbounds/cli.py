@@ -5,7 +5,10 @@ run, reproduce, checks. Each of the first five runs one stage of the
 pipeline in ``experiments``; ``run`` runs them all. Exit codes: 0 success,
 1 check failure, 2 I/O error or refused input (one stderr line, nothing
 written: unusable run arguments or data, malformed or wrong-kind
-checkpoints), 3 numeric failure.
+checkpoints), 3 numeric failure (one stderr line: ``nets.TrainingAbort``, in
+which a training step's ``nets.NonFiniteError`` or non-finite loss ends, an
+oracle ``metrics.QuadratureError``, a ``bounds.EmptyCellError`` or another
+``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import InputError, autodiff, bounds, checks, data, experiments, metrics
-from .nets import PartitionNet, TrainConfig, TrainingAbort, load_checkpoint
+from . import InputError, bounds, checks, data, experiments, metrics
+from .nets import NonFiniteError, PartitionNet, TrainConfig, TrainingAbort, load_checkpoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -115,7 +118,9 @@ def cmd_fit_partition(args) -> int:
     stage2 = experiments.partition_stage(split, nuis, config, out)
     experiments.write_manifest(out, "fit-partition", {
         "data": str(args.data), "nuisance": str(args.nuisance), "train": asdict(config),
-        "chosen_restart": stage2.restart, "val_total": stage2.val_total,
+        "chosen_restart": stage2.restart,
+        # Infinite when no validation cell holds both arms: unknown, not a number JSON can hold.
+        "val_total": stage2.val_total if np.isfinite(stage2.val_total) else None,
     })
     print(f"wrote {out}/partition.ckpt (restart {stage2.restart}, val total {stage2.val_total:.4f})")
     return EXIT_OK
@@ -269,7 +274,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (autodiff.NonFiniteError, metrics.QuadratureError, bounds.EmptyCellError, ArithmeticError,
+    except (NonFiniteError, metrics.QuadratureError, bounds.EmptyCellError, ArithmeticError,
             TrainingAbort) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -65,7 +65,7 @@ def config_hash(payload: dict) -> str:
 def write_manifest(directory: Path, command: str, payload: dict) -> None:
     manifest = {"command": command, "package_version": __version__, "config": payload,
                 "config_sha256": config_hash(payload)}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (directory / "manifest.json").write_text(metrics.strict_json(manifest))
 
 
 def _train_config(overrides: dict | None, **run_args) -> TrainConfig:

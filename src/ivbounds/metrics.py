@@ -64,7 +64,7 @@ class MetricsReport:
         """
         payload = asdict(self)
         trace = {"runtime_seconds": payload.pop("runtime_seconds")}
-        report_text, trace_text = _strict_json(payload), _strict_json(trace)
+        report_text, trace_text = strict_json(payload), strict_json(trace)
         Path(path).write_text(report_text)
         trace_path(path).write_text(trace_text)
 
@@ -106,7 +106,8 @@ def trace_path(path) -> Path:
     return Path(path).with_suffix(".trace.json")
 
 
-def _strict_json(obj) -> str:
+def strict_json(obj) -> str:
+    """``obj`` as indented, key-sorted JSON that strict parsers accept: NaN and inf are refused."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

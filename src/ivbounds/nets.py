@@ -14,7 +14,8 @@ predict and to train, and backward through ``_heads_backward`` and
 ``_stack_backward`` on the activations the forward collected. The backward
 keeps the arithmetic of a fused matmul-bias-relu layer (relu's subgradient
 is 0 at 0, read off the output); the tests hold it bitwise to an op-by-op
-reference. Stage-1 nets validate on ``loss``, ``loss_and_grad`` without the
+reference. A stack that reads the data (``x_enc``, ``z_enc``) computes no
+gradient for its input. Stage-1 nets validate on ``loss``, ``loss_and_grad`` without the
 backward; ``PartitionNet.backward`` takes the head gradients of the stage-2
 loss (``partition.composite_loss``) into the net.
 
@@ -34,7 +35,8 @@ net: both buffers and every view gain a leading restart axis, and the same
 forward and backward run on (R, batch, ·) arrays, each slice with the bits
 of the restart alone. ``train_with_early_stopping``, the one training loop,
 trains such a stack in lockstep (stage 1); stage 2 and the naive nets train
-single nets through it.
+single nets through it. A non-finite loss or a ``NonFiniteError`` (a NaN or
+inf in the stage-2 loss or its gradient) ends training as a ``TrainingAbort``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from functools import reduce
 import numpy as np
 
 from . import InputError
-from . import autodiff as ad
 from .data import sigmoid
 from .parallel import PicklableFields
 from .rng import stream_rng
@@ -150,28 +151,29 @@ def _stack_np(h: np.ndarray, params, prefix: str, depth: int, acts: list | None 
     return h
 
 
-def _dense_backward(h: np.ndarray, params, prefix: str, g: np.ndarray, grads) -> np.ndarray:
+def _dense_backward(h: np.ndarray, params, prefix: str, g: np.ndarray, grads, input_grad: bool = True):
     """Writes layer ``prefix``'s parameter gradients for input ``h`` and output
     gradient ``g`` into the arrays ``grads`` holds for them; returns the
-    input's gradient."""
+    input's gradient (None without ``input_grad``)."""
     np.matmul(h.swapaxes(-1, -2), g, out=grads[f"{prefix}.w"])
     np.sum(g, axis=-2, out=grads[f"{prefix}.b"])
-    return g @ params[f"{prefix}.w"].swapaxes(-1, -2)
+    return g @ params[f"{prefix}.w"].swapaxes(-1, -2) if input_grad else None
 
 
-def _stack_backward(acts: list, params, prefix: str, g: np.ndarray, grads) -> np.ndarray:
+def _stack_backward(acts: list, params, prefix: str, g: np.ndarray, grads, input_grad: bool = True):
     """``_dense_backward`` for a stack that collected ``acts``, layer by layer
-    from the top; relu passes ``g`` where the layer's output is > 0."""
+    from the top; relu passes ``g`` where the layer's output is > 0. A stack
+    that reads the data passes no ``input_grad``: its first layer skips it."""
     for i in reversed(range(len(acts) - 1)):
-        g = _dense_backward(acts[i], params, f"{prefix}{i}", g * (acts[i + 1] > 0.0), grads)
+        g = _dense_backward(acts[i], params, f"{prefix}{i}", g * (acts[i + 1] > 0.0), grads, input_grad or i > 0)
     return g
 
 
-def _heads_backward(acts: list, params, prefix: str, head_grads: dict, grads) -> np.ndarray:
+def _heads_backward(acts: list, params, prefix: str, head_grads: dict, grads, input_grad: bool = True):
     """Backward of linear heads (name -> output gradient) on the stack that
-    collected ``acts``, then of the stack; returns its input's gradient."""
+    collected ``acts``, then of the stack, as ``_stack_backward``."""
     g = reduce(operator.add, [_dense_backward(acts[-1], params, name, gh, grads) for name, gh in head_grads.items()])
-    return _stack_backward(acts, params, prefix, g, grads)
+    return _stack_backward(acts, params, prefix, g, grads, input_grad)
 
 
 def _batch_mean(v: np.ndarray):
@@ -314,8 +316,8 @@ class TwoBranchNet(_Net):
         hx, hz = self._encode_np(batch["x"], batch["z"], acts_x, acts_z)
         loss, g_heads = self._loss_and_head_grads(self._heads_np(np.concatenate([hx, hz], axis=-1), acts_h), batch)
         g = _heads_backward(acts_h, self.params, "shared.", dict(zip(self.head_names, g_heads)), self.grads)
-        _stack_backward(acts_x, self.params, "x_enc.", g[..., : hx.shape[-1]], self.grads)
-        _stack_backward(acts_z, self.params, "z_enc.", g[..., hx.shape[-1] :], self.grads)
+        _stack_backward(acts_x, self.params, "x_enc.", g[..., : hx.shape[-1]], self.grads, input_grad=False)
+        _stack_backward(acts_z, self.params, "z_enc.", g[..., hx.shape[-1] :], self.grads, input_grad=False)
         return loss, self.grads
 
     def loss(self, batch: dict[str, np.ndarray]):
@@ -422,7 +424,7 @@ class EtaNet(_Net):
         acts: list[np.ndarray] = []
         h = _stack_np(_as_col(batch["z"]), self.params, "z_enc.", self.depth, acts)
         loss, g = _log_loss_and_grad(_dense_np(h, self.params, "head"), _as_col(batch["a"]))
-        _heads_backward(acts, self.params, "z_enc.", {"head": g}, self.grads)
+        _heads_backward(acts, self.params, "z_enc.", {"head": g}, self.grads, input_grad=False)
         return loss, self.grads
 
     def loss(self, batch: dict[str, np.ndarray]):
@@ -479,7 +481,7 @@ class PartitionNet(_Net):
             self.grads["aux.w"].fill(0.0)
             self.grads["aux.b"].fill(0.0)
         heads = {"logits": g_logits} if g_aux is None else {"logits": g_logits, "aux": g_aux}
-        _heads_backward(acts, self.params, "z_enc.", heads, self.grads)
+        _heads_backward(acts, self.params, "z_enc.", heads, self.grads, input_grad=False)
         return self.grads
 
     def logits(self, z: np.ndarray) -> np.ndarray:
@@ -540,6 +542,15 @@ def adam_step(net: _Net, state: AdamState, lr: float, beta1: float = 0.9, beta2:
     m_hat = m / (1.0 - beta1**state.t)
     v_hat = v / (1.0 - beta2**state.t)
     net.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class NonFiniteError(PicklableFields, ArithmeticError):
+    """Raised when a value or gradient of the stage-2 loss contains NaN/inf;
+    ``name`` is the loss input it belongs to, None for an intermediate."""
+
+    def __init__(self, name: str | None, what: str):
+        self.name = name
+        super().__init__(f"non-finite {what}" + ("" if name is None else f" of '{name}'"))
 
 
 class TrainingAbort(PicklableFields, RuntimeError):
@@ -622,7 +633,7 @@ def train_with_early_stopping(
             batch = {key: arr[idx if stacked else idx[0]] for key, arr in train.items()}
             try:
                 value = np.atleast_1d(loss_fn(net, batch))
-            except ad.NonFiniteError as exc:
+            except NonFiniteError as exc:
                 raise TrainingAbort(epoch, b, str(exc)) from exc
             if not np.isfinite(value).all():
                 where = f"restart {active[int(np.argmin(np.isfinite(value)))]}: " if stacked else ""

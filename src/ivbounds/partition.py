@@ -12,8 +12,9 @@ auxiliary head against the (stop-gradient) sampled assignments. First-stage
 nuisances are frozen throughout; validation (``composite_losses``) and final
 bound evaluation use noise-free argmax assignments and the same kernels.
 ``composite_loss`` is a step's loss in numpy, with a hand-written backward to
-the net's two outputs; ``composite_loss_graph`` enters it into the autodiff
-engine as one fused node on them (see ``autodiff`` for why the engine
+the net's two outputs; ``composite_loss_graph`` returns it, with no graph, as
+a ``LossRecord`` of the loss value, the two outputs by name and that backward,
+which ``autodiff.backward_grad`` runs (see ``autodiff`` for why that module
 stays). The warm start differentiates ``cross_entropy`` directly.
 
 ``train_partition`` computes the batch constants once, decides the restart
@@ -37,6 +38,7 @@ import logging
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from . import bounds as bnd
 from . import naive, nets  # called as naive.kmeans_fit, nets.adam_step: wrappers set on the modules apply
 from . import parallel
 from .data import DatasetSplit, OutcomeRange, SampleBatch, outcome_range_from_train
-from .nets import PartitionNet, TrainConfig, TrainLog, sample_gumbel, train_with_early_stopping
+from .nets import NonFiniteError, PartitionNet, TrainConfig, TrainLog, sample_gumbel, train_with_early_stopping
 from .nuisance import NuisanceSet
 from .rng import stream_rng
 
@@ -230,16 +232,30 @@ def _bound_width_backward(g, const: BatchConstants, rng_range: OutcomeRange, rep
     return reduce(operator.add, [factor.T @ g_sum for factor, g_sum in zip(factors, sum_grads)])
 
 
+@dataclass(eq=False)
+class LossRecord:
+    """A scalar loss ``value``, the arrays it was computed from by name, and ``backward(g)``: the gradients
+    of ``g`` times the loss, one per input in order. A non-finite value or input is refused."""
+
+    value: float
+    inputs: dict[str, np.ndarray]
+    backward: Callable
+
+    def __post_init__(self):
+        for name, value in [*self.inputs.items(), (None, self.value)]:
+            if not np.isfinite(value).all():
+                raise NonFiniteError(name, "value" if name else "loss value")
+
+
 def composite_loss_graph(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
                          config: TrainConfig, noise: np.ndarray | None, hard: bool = True):
-    """``composite_loss`` of the net's outputs as a graph: (root, parts, acts,
-    info), the root one fused node over the leaves ``logits`` and ``aux``,
-    ``acts`` the net's activations for ``PartitionNet.backward``."""
+    """``composite_loss`` of the net's outputs: (root, parts, acts, info), the
+    root a ``LossRecord`` on the inputs ``logits`` and ``aux``, ``acts`` the
+    net's activations for ``PartitionNet.backward``."""
     acts: list[np.ndarray] = []
-    heads = net.forward(const.z, acts)
-    leaves = tuple(ad.input_node(v, name=name, trainable=True) for name, v in zip(("logits", "aux"), heads))
-    total, parts, info, backward = composite_loss(*heads, const, rng_range, config, noise, hard)
-    return ad.fused(leaves, total, backward), parts, acts, info
+    logits, aux = net.forward(const.z, acts)
+    total, parts, info, backward = composite_loss(logits, aux, const, rng_range, config, noise, hard)
+    return LossRecord(total, {"logits": logits, "aux": aux}, backward), parts, acts, info
 
 
 def composite_loss_and_grad(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
@@ -321,9 +337,9 @@ def _quantile_labels(values: np.ndarray, k: int) -> np.ndarray:
     return np.digitize(values, edges)
 
 
-def _candidate_tags(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig) -> list[str]:
+def _candidate_tags(train_eta: np.ndarray, config: TrainConfig) -> list[str]:
     """Restart candidates in restart order: random init plus warm starts to
-    cheap partitions.
+    cheap partitions. ``train_eta`` is eta on the training instruments.
 
     The warm starts seed qualitatively different basins (cells of similar
     predicted treatment probability; k-means cells of the raw instrument);
@@ -334,19 +350,19 @@ def _candidate_tags(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCo
     """
     tags = ["random"]
     if config.restarts >= 2 and config.k >= 2:
-        if len(np.unique(nuisances.eta.predict(split.train.z))) >= config.k:
+        if len(np.unique(train_eta)) >= config.k:
             tags.append("eta")
     if config.restarts >= 3 and config.k >= 2:
         tags.append("kmeans")
     return tags[: max(1, config.restarts)]
 
 
-def _candidate_net(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig,
+def _candidate_net(split: DatasetSplit, train_eta: np.ndarray, config: TrainConfig,
                    tag: str) -> PartitionNet | None:
     if tag == "random":
         return _fresh_partition_net(split, config, tag)
     if tag == "eta":
-        labels = _quantile_labels(nuisances.eta.predict(split.train.z), config.k)
+        labels = _quantile_labels(train_eta, config.k)
     else:
         try:
             km = naive.kmeans_fit(split.train.z, config.k, config.seed, n_restarts=3)
@@ -367,11 +383,11 @@ class Stage2Result:
     val_total: float
 
 
-def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainConfig, rng_range: OutcomeRange,
+def _train_restart(split: DatasetSplit, config: TrainConfig, rng_range: OutcomeRange,
                    train_const: BatchConstants, val_const: BatchConstants, restart: int,
                    tag: str) -> Stage2Result | None:
     """Build the candidate ``tag`` and train it as restart ``restart``."""
-    net = _candidate_net(split, nuisances, config, tag)
+    net = _candidate_net(split, train_const.eta, config, tag)
     if net is None:
         return None
     gumbel_rng = stream_rng(config.seed, f"partition-gumbel-{restart}")
@@ -389,32 +405,22 @@ def _train_restart(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCon
         return float(root.value)
 
     def val_loss(model):
-        total, breakdown, info = validation_loss(model, val_const, rng_range, config)
-        with np.errstate(invalid="ignore"):
-            epoch_rows.append(
-                {
-                    "epoch": len(epoch_rows),
-                    "l_b": float(np.nanmean([p.l_b for p in batch_parts])) if batch_parts else np.nan,
-                    "l_reg": float(np.mean([p.l_reg for p in batch_parts])) if batch_parts else np.nan,
-                    "l_aux": float(np.mean([p.l_aux for p in batch_parts])) if batch_parts else np.nan,
-                    "total": float(np.mean([p.total for p in batch_parts])) if batch_parts else np.nan,
-                    "val_total": total,
-                    "min_cell_mass": float(info["masses"].min()),
-                }
-            )
+        total, _, info = validation_loss(model, val_const, rng_range, config)
+        means = dict.fromkeys(("l_b", "l_reg", "l_aux", "total"), np.nan)
+        if batch_parts:
+            with np.errstate(invalid="ignore"):  # every batch may have dropped L_b
+                means["l_b"] = float(np.nanmean([p.l_b for p in batch_parts]))
+            for term in ("l_reg", "l_aux", "total"):
+                means[term] = float(np.mean([getattr(p, term) for p in batch_parts]))
+        epoch_rows.append({"epoch": len(epoch_rows), **means, "val_total": total,
+                           "min_cell_mass": float(info["masses"].min())})
         batch_parts.clear()
         return total
 
     log = train_with_early_stopping(
-        net,
-        loss_fn,
-        {"idx": np.arange(len(split.train), dtype=np.float64)},
-        {"idx": np.arange(len(split.val), dtype=np.float64)},
-        config,
-        val_loss_fn=val_loss,
-        rng=stream_rng(config.seed, f"partition-batches-{restart}"),
-        min_batch_size=max(2, 2 * config.k),
-    )
+        net, loss_fn, {"idx": np.arange(len(split.train), dtype=np.float64)},
+        {"idx": np.arange(len(split.val), dtype=np.float64)}, config, val_loss_fn=val_loss,
+        rng=stream_rng(config.seed, f"partition-batches-{restart}"), min_batch_size=max(2, 2 * config.k))
     final_val, _, _ = validation_loss(net, val_const, rng_range, config)
     return Stage2Result(net=net, epoch_rows=epoch_rows, log=log, restart=restart, val_total=final_val)
 
@@ -434,8 +440,8 @@ def train_partition(split: DatasetSplit, nuisances: NuisanceSet, config: TrainCo
     rng_range = rng_range or outcome_range_from_train(split.train)
     train_const = batch_constants(nuisances, split.train)
     val_const = batch_constants(nuisances, split.val)
-    tasks = [(split, nuisances, config, rng_range, train_const, val_const, restart, tag)
-             for restart, tag in enumerate(_candidate_tags(split, nuisances, config))]
+    tasks = [(split, config, rng_range, train_const, val_const, restart, tag)
+             for restart, tag in enumerate(_candidate_tags(train_const.eta, config))]
     results = [r for r in parallel.map_tasks(_train_restart, tasks) if r is not None]
     best = min(results, key=lambda r: r.val_total)
     return best.net, best.epoch_rows, best

@@ -9,21 +9,17 @@ from ivbounds import autodiff as ad
 from ivbounds import bounds, checks, experiments, nets, parallel, partition
 
 
-def scalar_input(v):
-    return ad.input_node(np.array([v]), name="x", trainable=True)
+def _record(value, backward, **inputs):
+    """A hand-built loss record: ``backward(g)`` gives one gradient per input, in order."""
+    return partition.LossRecord(value, inputs, backward)
 
 
-def _sum_of(x, f, df):
-    """sum(f(x)) as one fused node, with the derivative df of f."""
-    return ad.fused((x,), np.sum(f(x.value)), lambda g: (g * df(x.value),))
-
-
-def _log(x):
-    return ad.fused((x,), np.log(x.value), lambda g: (g / x.value,))
-
-
-def _dot(a, b):
-    return ad.fused((a, b), np.sum(a.value * b.value), lambda g: (g * b.value, g * a.value))
+def _partition_case():
+    """``checks._loss_case``'s net with its two outputs and the activations of that forward."""
+    const, net, noise = checks._loss_case()
+    acts = []
+    logits, aux = net.forward(const.z, acts)
+    return const, net, noise, acts, logits, aux
 
 
 def test_identity_matmul():
@@ -33,9 +29,8 @@ def test_identity_matmul():
 
 
 def test_square_gradient():
-    x = scalar_input(3.0)
-    root = _sum_of(x, lambda v: v * v, lambda v: 2.0 * v)
-    grads = ad.backward_grad(root)
+    x = np.array([3.0])
+    grads = ad.backward_grad(_record(np.sum(x * x), lambda g: (g * 2.0 * x,), x=x))
     assert grads["x"][0] == pytest.approx(6.0)
 
 
@@ -48,36 +43,34 @@ def test_sigmoid_gradient_at_zero():
 
 
 def test_backward_requires_scalar_root():
-    x = ad.input_node(np.ones(3), name="x", trainable=True)
+    x = np.ones(3)
     with pytest.raises(ValueError, match="scalar root"):
-        ad.backward_grad(ad.fused((x,), x.value * 2.0, lambda g: (g * 2.0,)))
+        ad.backward_grad(_record(x * 2.0, lambda g: (g * np.full(3, 2.0),), x=x))
 
 
 def test_shape_mismatch_is_structured():
-    # A fused backward must give each parent a gradient of its shape.
-    x = ad.input_node(np.ones((2, 3)), name="x", trainable=True)
-    root = ad.fused((x,), np.sum(x.value), lambda g: (np.ones((3, 2)),))
-    with pytest.raises(ad.ShapeMismatchError) as exc:
+    # A backward must give each input a gradient of its shape; the error
+    # names the input and both shapes.
+    x = np.ones((2, 3))
+    root = _record(np.sum(x), lambda g: (np.ones((3, 2)),), x=x)
+    with pytest.raises(ValueError, match=r"gradient of 'x' has shape \(3, 2\), its input \(2, 3\)"):
         ad.backward_grad(root)
-    assert exc.value.op == "fused"
-    assert (2, 3) in exc.value.shapes
 
 
 def test_nan_gradient_carries_node_id():
-    # log(y) at a subnormal y has the gradient 1/y = inf.
-    y = ad.input_node(np.array([1e-320]), name="y", trainable=True)
-    bad = _sum_of(y, np.log, lambda v: 1.0 / v)
-    with pytest.raises(ad.NonFiniteError) as exc:
-        ad.backward_grad(bad)
-    assert exc.value.node_id is not None
+    # log(y) at a subnormal y has the gradient 1/y = inf; the error names y.
+    y = np.array([1e-320])
+    with pytest.raises(nets.NonFiniteError, match="gradient of 'y'") as exc, np.errstate(over="ignore"):
+        ad.backward_grad(_record(np.sum(np.log(y)), lambda g: (g / y,), y=y))
+    assert exc.value.name == "y"
 
 
 def test_nonfinite_forward_raises():
-    x = ad.input_node(np.array([-1.0]), name="x", trainable=True)
-    with pytest.raises(ad.NonFiniteError), np.errstate(invalid="ignore"):
-        _log(x)
-    with pytest.raises(ad.NonFiniteError):
-        ad.input_node(np.array([np.inf]))
+    x = np.array([-1.0])
+    with pytest.raises(nets.NonFiniteError, match="loss value"), np.errstate(invalid="ignore"):
+        _record(np.sum(np.log(x)), lambda g: (g / x,), x=x)
+    with pytest.raises(nets.NonFiniteError, match="value of 'x'"):
+        _record(0.0, lambda g: (np.zeros(1),), x=np.array([np.inf]))
 
 
 def test_finite_diff_cube():
@@ -212,10 +205,8 @@ def test_each_op_gradient_vs_finite_differences(op):
 
 
 def test_fd_cases_cover_every_checkable_op_kind():
-    # The one op kind with a backward is the fused node; the pipeline's fused
-    # node is the stage-2 loss, checked by one finite-difference line per term
-    # of the loss, one for the warm start and one for straight-through.
-    assert ad.OP_KINDS - {"input"} == {"fused"}
+    # The stage-2 loss is checked by one finite-difference line per term of
+    # the loss, one for the warm start and one for straight-through.
     const, net, noise = checks._loss_case()
     logits, aux = net.forward(const.z)
     _, parts, _, _ = partition.composite_loss(logits, aux, const, checks.LOSS_RANGE,
@@ -245,7 +236,7 @@ def test_determinism_bitwise():
     v2, g2 = _mlp_loss_and_input_grad(point)
     assert v1 == v2
     assert np.array_equal(g1, g2)
-    # The same for the composite loss through its graph.
+    # The same for the composite loss through its loss record.
     const, net, noise = checks._loss_case()
     config = nets.TrainConfig(k=net.k, batch_size=len(const))
     runs = [(float(root.value), {name: g.copy() for name, g in grads.items()}) for root, _, grads in
@@ -256,32 +247,34 @@ def test_determinism_bitwise():
 
 
 def test_chain_rule_composition():
-    # f(g(x)) through two fused nodes vs the product of separately computed
-    # df/dg and dg/dx.
-    point = np.array([0.7, -0.4, 1.2])
-
-    def g_graph(x):
-        return _sum_of(x, lambda v: np.log(v * v + 1.0), lambda v: 2.0 * v / (v * v + 1.0))
-
-    def f_graph(y):
-        return _log(ad.fused((y,), 0.5 * y.value, lambda g: (0.5 * g,)))
-
-    x = ad.input_node(point, name="x", trainable=True)
-    fused = ad.backward_grad(f_graph(g_graph(x)))["x"]
-
-    x2 = ad.input_node(point, name="x", trainable=True)
-    g_root = g_graph(x2)
-    dg = ad.backward_grad(g_root)["x"]
-    y = ad.input_node(np.array([float(g_root.value)]), name="y", trainable=True)
-    df = float(ad.backward_grad(f_graph(y))["y"][0])
-    np.testing.assert_allclose(fused, df * dg, atol=1e-12)
+    # The loss's gradient in the net's parameters is the record's backward in
+    # the net's two outputs, then the net's backward of those.
+    const, net, noise = checks._loss_case()
+    config = nets.TrainConfig(k=net.k, batch_size=len(const))
+    _, _, grads = partition.composite_loss_and_grad(net, const, checks.LOSS_RANGE, config, noise)
+    grads = {name: g.copy() for name, g in grads.items()}
+    root, _, acts, _ = partition.composite_loss_graph(net, const, checks.LOSS_RANGE, config, noise)
+    chained = net.backward(acts, *root.backward(1.0))
+    for name in net.params:
+        assert np.array_equal(grads[name], chained[name]), name
 
 
 def test_repeated_parent_accumulates():
-    # x * x + x with x listed twice: each listing adds its gradient.
-    x = scalar_input(2.0)
-    root = ad.fused((x, x), np.sum(x.value * x.value + x.value), lambda g: (g * 2.0 * x.value, g * np.ones(1)))
-    assert ad.backward_grad(root)["x"][0] == pytest.approx(5.0)
+    # The trunk feeds both heads, so its gradient sums what the logits and
+    # aux heads each pass back.
+    _, net, _, acts, logits, aux = _partition_case()
+    rng = np.random.default_rng(9)
+    g_logits, g_aux = rng.normal(size=logits.shape), rng.normal(size=aux.shape)
+
+    def trunk(g_l, g_a):
+        grads = net.backward(acts, g_l, g_a)
+        return {name: grads[name].copy() for name in grads if name.startswith("z_enc.")}
+
+    both = trunk(g_logits, g_aux)
+    from_logits, from_aux = trunk(g_logits, np.zeros_like(g_aux)), trunk(np.zeros_like(g_logits), g_aux)
+    assert len(both) == 2 * net.depth
+    for name in both:
+        np.testing.assert_allclose(both[name], from_logits[name] + from_aux[name], rtol=1e-12, atol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,13 +290,15 @@ def test_gradient_check_property_random_vectors(vals):
 
 
 def test_zero_gradient_for_unused_trainable_input():
-    x = ad.input_node(np.ones(2), name="x", trainable=True)
-    y = ad.input_node(np.ones(2), name="y", trainable=True)
-    root = _sum_of(x, lambda v: v, np.ones_like)
-    del y
-    grads = ad.backward_grad(root)
-    assert "y" not in grads  # y is not part of the graph at all
-    np.testing.assert_array_equal(grads["x"], np.ones(2))
+    # Without g_aux the aux head takes no part in the loss: its gradients are
+    # zero, also after a backward that wrote them.
+    _, net, _, acts, logits, aux = _partition_case()
+    net.backward(acts, np.ones_like(logits), np.ones_like(aux))
+    assert np.all(net.grads["aux.b"] != 0.0)
+    grads = net.backward(acts, np.ones_like(logits))
+    for name in ("aux.w", "aux.b"):
+        np.testing.assert_array_equal(grads[name], np.zeros_like(net.params[name]))
+    assert np.all(grads["logits.b"] != 0.0)
 
 
 @st.composite
@@ -343,45 +338,49 @@ def test_dense_is_bitwise_the_unfused_layer(operands, relu):
 
 
 def test_nonfinite_gradient_names_first_node_in_reverse_order():
-    # d/dy log(y) = 1/y overflows at a subnormal y; the dot and log nodes keep
-    # finite gradients, so y is the first node in reverse order that is not finite.
-    y = ad.input_node(np.array([1e-320]), name="y", trainable=True)
-    w = ad.input_node(np.array([2.0]), name="w", trainable=True)
-    root = _dot(_log(y), w)
-    with pytest.raises(ad.NonFiniteError) as exc:
+    # d/dy log(y) = 1/y overflows at a subnormal y, and so does w's; the error
+    # names the first input in reverse topo_order, the last one listed.
+    y, w = np.array([1e-320]), np.array([1e-320])
+    root = _record(np.sum(np.log(y)) + np.sum(np.log(w)), lambda g: (g / y, g / w), y=y, w=w)
+    with pytest.raises(nets.NonFiniteError) as exc, np.errstate(over="ignore"):
         ad.backward_grad(root)
     order = ad.topo_order(root)
-    first = next(n for n in reversed(order) if n.grad is not None and not np.all(np.isfinite(n.grad)))
-    assert first is y
-    assert exc.value.node_id == y.id
-    assert exc.value.op == "input"
+    assert order[:2] == ["y", "w"] and order[2] is root
+    assert exc.value.name == "w"
 
 
 def test_nonfinite_gradient_reaching_no_trainable_input_is_not_reported():
     # Gradients are checked once, on those backward_grad returns. Here the
-    # gradient of log at a subnormal constant y overflows, but the trainable
-    # x does not reach log(y), so its gradient is finite.
-    y = ad.input_node(np.array([1e-320]))
-    x = ad.input_node(np.array([3.0]), name="x", trainable=True)
-    log_y = _log(y)
-    root = ad.fused((log_y, x), np.sum(log_y.value) + np.sum(x.value),
-                    lambda g: (g * np.ones(1), g * np.ones(1)))
-    grads = ad.backward_grad(root)
-    assert not np.all(np.isfinite(y.grad))
+    # backward's gradient in the constant y, of log at a subnormal y,
+    # overflows, but the input x does not reach log(y), so its gradient is finite.
+    y, x = np.array([1e-320]), np.array([3.0])
+    inner = {}
+
+    def backward(g):
+        with np.errstate(over="ignore"):
+            inner["y"] = g / y
+        return (g * np.ones(1),)
+
+    grads = ad.backward_grad(_record(np.sum(np.log(y)) + np.sum(x), backward, x=x))
+    assert not np.all(np.isfinite(inner["y"]))
     np.testing.assert_array_equal(grads["x"], [1.0])
 
 
 def test_pipeline_builds_every_registered_op_kind(monkeypatch):
-    # One short in-process run must build every kind in OP_KINDS, so an op
-    # that no pipeline path builds cannot stay in the engine unnoticed.
-    built = set()
-    init = ad.Node.__init__
+    # One short in-process run must call both functions autodiff keeps, on
+    # stage-2 loss records, so neither can stay in the module unnoticed
+    # after its last caller is gone.
+    calls = []
 
-    def recording_init(self, op, *args, **kwargs):
-        built.add(op)
-        init(self, op, *args, **kwargs)
+    def recording(name, original):
+        def call(root):
+            calls.append((name, type(root)))
+            return original(root)
+        return call
 
-    monkeypatch.setattr(ad.Node, "__init__", recording_init)
+    for name in ("topo_order", "backward_grad"):
+        monkeypatch.setattr(ad, name, recording(name, getattr(ad, name)))
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     experiments.run_experiment(1, "ours", 2, 0, n=200, overrides={"max_epochs": 1})
-    assert built == ad.OP_KINDS
+    assert {name for name, _ in calls} == {"topo_order", "backward_grad"}
+    assert {kind for _, kind in calls} == {partition.LossRecord}

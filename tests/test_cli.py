@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from ivbounds import checks, cli, data, nets
+from ivbounds import checks, cli, data, nets, parallel, partition
 from ivbounds.bounds import BoundPair
 from ivbounds.nets import TrainConfig
 
@@ -280,6 +280,48 @@ def test_reproduce_on_two_jobs_reports_a_training_abort(tmp_path, capsys):
                    "--max-epochs", "3", "--learning-rate", "1e200", "--out", str(tmp_path))
     assert code == cli.EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numeric failure: epoch 0, batch ")
+
+
+def _tiny_stage1(tmp_path):
+    """A 16-sample dataset-1 data dir and its stage-1 nets, fitted for two epochs."""
+    d, nd = tmp_path / "data", tmp_path / "nuis"
+    assert run_cli("generate", "--dataset", "1", "--n", "16", "--seed", "0", "--out", str(d)) == 0
+    assert run_cli("fit-nuisance", "--data", str(d), "--out", str(nd), "--max-epochs", "2") == 0
+    return d, nd
+
+
+def test_fit_partition_manifest_is_strict_json_without_a_finite_val_total(tmp_path, capsys):
+    # No validation cell of 16 samples holds both arms, so the validation
+    # total is infinite; the manifest records it as null, not Infinity.
+    d, nd = _tiny_stage1(tmp_path)
+    pd_ = tmp_path / "part"
+    assert run_cli("fit-partition", "--data", str(d), "--nuisance", str(nd), "--k", "2", "--out", str(pd_),
+                   "--max-epochs", "2") == 0
+    assert "val total inf" in capsys.readouterr().out
+    manifest = json.loads((pd_ / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["config"]["val_total"] is None
+
+
+@pytest.mark.parametrize("what", ["loss value", "gradient of 'logits'"])
+def test_nonfinite_stage2_loss_or_gradient_exits_3(tmp_path, capsys, monkeypatch, what):
+    # A NaN in the stage-2 loss or in its gradient ends training as a
+    # TrainingAbort, which the CLI reports as a numeric failure.
+    d, nd = _tiny_stage1(tmp_path)
+    composite_loss = partition.composite_loss
+
+    def nan_loss(*args, **kwargs):
+        total, parts, info, backward = composite_loss(*args, **kwargs)
+        if what == "loss value":
+            return np.nan, parts, info, backward
+        return total, parts, info, lambda g: (np.full_like(backward(g)[0], np.nan), backward(g)[1])
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(partition, "composite_loss", nan_loss)
+    capsys.readouterr()
+    code = run_cli("fit-partition", "--data", str(d), "--nuisance", str(nd), "--k", "2",
+                   "--out", str(tmp_path / "part"), "--max-epochs", "2", "--restarts", "1")
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric failure: epoch 0, batch 0: non-finite {what}\n"
 
 
 def test_naive_manifest_records_fair_architecture(tmp_path):

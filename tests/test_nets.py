@@ -195,9 +195,10 @@ def test_adam_refusal_names_the_parameter_and_changes_nothing():
     lambda rng: nets.EtaNet.create(1, rng),
 ], ids=["outcome", "propensity", "eta"])
 def test_stage1_loss_and_grad_builds_no_graph(make, monkeypatch):
-    # A stage-1 step is numpy alone; the autodiff graph holds only the stage-2 loss math.
+    # A stage-1 step is numpy alone: it never calls autodiff, which serves the stage-2 loss only.
     built = []
-    monkeypatch.setattr(ad.Node, "__init__", lambda self, op, *args, **kwargs: built.append(op))
+    for name in ("topo_order", "backward_grad"):
+        monkeypatch.setattr(ad, name, lambda *args, _name=name, **kwargs: built.append(_name))
     rng = stream_rng(0, "node-count")
     n = nets.TrainConfig().batch_size
     batch = {"x": rng.normal(size=n), "z": rng.normal(size=n), "a": (rng.random(n) < 0.5) * 1.0,
@@ -519,8 +520,8 @@ def test_partition_hard_assignment_is_argmax_of_logits():
 
 def test_graph_forward_matches_numpy_forward():
     # Training runs the prediction forward: the collected activations end in
-    # the layer that feeds the heads, and the partition net's graph leaves
-    # hold its numpy logits.
+    # the layer that feeds the heads, and the partition net's loss record
+    # holds its numpy outputs.
     net = nets.TwoBranchNet.create(1, 1, stream_rng(4, "init"), nets.OUTCOME_SPEC)
     x, z = np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)
     acts_x, acts_z, acts_h = [], [], []
@@ -531,11 +532,10 @@ def test_graph_forward_matches_numpy_forward():
     const, partition_net, _ = checks._loss_case()
     root, _, acts, _ = partition.composite_loss_graph(partition_net, const, checks.LOSS_RANGE,
                                                       nets.TrainConfig(k=3, batch_size=len(const)), None)
-    leaves = {node.name: node for node in root.parents}
     np_logits, np_aux = partition_net.forward(const.z)
-    np.testing.assert_array_equal(leaves["logits"].value, np_logits)
-    np.testing.assert_array_equal(leaves["aux"].value, np_aux)
-    assert root.op == "fused" and all(node.op == "input" and node.trainable for node in root.parents)
+    assert list(root.inputs) == ["logits", "aux"]
+    np.testing.assert_array_equal(root.inputs["logits"], np_logits)
+    np.testing.assert_array_equal(root.inputs["aux"], np_aux)
     assert len(acts) == partition_net.depth + 1
 
 

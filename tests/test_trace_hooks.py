@@ -1,7 +1,8 @@
 """The benchmark's trace mode (``perfbench/layers.py``, imported as it is)
 wraps ``ivbounds`` functions by their names. A rename or a call path that
-skips one of them would leave ``--trace 1`` without its stage-2 spans; this
-runs one small d3/ours run inside ``layers.instrumented`` and checks them.
+skips one of them would leave ``--trace 1`` without its spans and set a
+per-layer metric to zero; these run small runs inside
+``layers.instrumented`` and check that every wrapped name records spans.
 """
 
 import sys
@@ -32,3 +33,26 @@ def test_trace_hooks_record_the_stage2_loss_and_restore_everything(monkeypatch):
     for owner, attrs in before.items():
         assert set(vars(owner)) == set(attrs), owner
         assert all(vars(owner)[name] is value for name, value in attrs.items()), owner
+
+
+def test_every_wrapped_name_records_a_span(monkeypatch, tmp_path):
+    # A serial sweep of an ours run on dataset 3 (oracle included) and a
+    # naive run, then the table: together they call every function
+    # ``layers.install`` wraps.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    wrapped = []
+    wrap = spans.Recorder.wrap
+
+    def recording_wrap(self, owner, attr, name, *args, **kwargs):
+        wrapped.append(name)
+        return wrap(self, owner, attr, name, *args, **kwargs)
+
+    monkeypatch.setattr(spans.Recorder, "wrap", recording_wrap)
+    rec = spans.Recorder()
+    runs = [(3, "ours", 2, 0, 200, tmp_path / "d3_ours", {"max_epochs": 1}),
+            (1, "naive", 2, 0, 200, tmp_path / "d1_naive", {"max_epochs": 1})]
+    with layers.instrumented(rec):
+        experiments.aggregate_table(experiments.run_sweep(runs))
+    recorded = {s.name for s in rec.spans}
+    assert len(wrapped) == len(set(wrapped)) > 20
+    assert [name for name in wrapped if name not in recorded] == []
