@@ -13,20 +13,22 @@ kernel for the plug-in aggregates (soft or hard weights, empty cell-arms
 masked; ``one_hot`` builds hard weights from cell labels), and
 ``bounds_on_grid`` is the one min/max reduction; the k x k
 ``pairwise_bound_matrix``/``tightest_bounds`` pair is the readable
-reference it is checked against. This module holds only that algebra: the
-population oracle that evaluates the same quantities from the synthetic
-generators' exact nuisances lives in ``metrics``.
+reference it is checked against. The kernel takes the first-stage nets'
+predictions on a grid of queries by aggregation samples; ``partition``
+builds that grid, for training batches and for the final bounds alike. The
+naive baseline's cells are a finite alphabet, its k one-hot labels, which
+``discrete_bounds_on_grid`` bounds over. This module holds only that
+algebra: the population oracle that evaluates the same quantities from the
+synthetic generators' exact nuisances lives in ``metrics``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OutcomeRange
+from .data import OutcomeRange, fmt_float, read_rows, write_rows
 from .parallel import PicklableFields
 
 
@@ -89,31 +91,13 @@ class BoundPair:
         return self.lower > self.upper
 
     def to_csv(self, path) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "lower", "upper", "argmin_l", "argmin_m", "argmax_l", "argmax_m"])
-        for i in range(len(self.x)):
-            writer.writerow(
-                [
-                    format(float(self.x[i]), ".17g"),
-                    format(float(self.lower[i]), ".17g"),
-                    format(float(self.upper[i]), ".17g"),
-                    int(self.upper_pair[i, 0]),
-                    int(self.upper_pair[i, 1]),
-                    int(self.lower_pair[i, 0]),
-                    int(self.lower_pair[i, 1]),
-                ]
-            )
-        with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+        rows = ([fmt_float(self.x[i]), fmt_float(self.lower[i]), fmt_float(self.upper[i]),
+                 *map(int, self.upper_pair[i]), *map(int, self.lower_pair[i])] for i in range(len(self.x)))
+        write_rows(path, ["x", "lower", "upper", "argmin_l", "argmin_m", "argmax_l", "argmax_m"], rows)
 
     @classmethod
     def from_csv(cls, path) -> "BoundPair":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = list(reader)
-        arr = np.array([[float(v) for v in row] for row in rows])
+        arr = np.array([[float(v) for v in row] for row in read_rows(path)[1]])
         return cls(
             x=arr[:, 0],
             lower=arr[:, 1],
@@ -161,14 +145,6 @@ def aggregate_cells(xq: np.ndarray, m1: np.ndarray, m0: np.ndarray, p: np.ndarra
         valid_m=(den0 > 0) & (mass > 0),
         sums=(num1, num0, pnum, den1, den0, mass),
     )
-
-
-def representation_from_estimates(nuisance, weights: np.ndarray, z: np.ndarray, a: np.ndarray,
-                                  xq: np.ndarray) -> RepresentationNuisance:
-    """Per-cell aggregates of the fitted first-stage nets over a query grid."""
-    m0, m1 = nuisance.mu.predict_pairwise(xq, z)
-    p = nuisance.pi.predict_pairwise(xq, z)
-    return aggregate_cells(xq, m1, m0, p, nuisance.eta.predict(z), a, weights)
 
 
 # --------------------------------------------------------- bound algebra

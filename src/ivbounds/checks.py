@@ -128,7 +128,7 @@ def straight_through_check(tolerance: float) -> CheckResult:
     weights = bnd.one_hot(np.argmax(soft, axis=1), k)
 
     def l_b() -> float:
-        return partition.composite_losses(weights, logits, const, LOSS_RANGE, 0.0, 0.0)[0].l_b
+        return partition.composite_losses(weights, logits, const, LOSS_RANGE, 0.0, 0.0)[1]["l_b"]
 
     exact = parts["l_b"] == l_b()
     g_weights = central_differences(l_b, weights, 1e-6)

@@ -118,9 +118,7 @@ def cmd_fit_partition(args) -> int:
     stage2 = experiments.partition_stage(split, nuis, config, out)
     experiments.write_manifest(out, "fit-partition", {
         "data": str(args.data), "nuisance": str(args.nuisance), "train": asdict(config),
-        "chosen_restart": stage2.restart,
-        # Infinite when no validation cell holds both arms: unknown, not a number JSON can hold.
-        "val_total": stage2.val_total if np.isfinite(stage2.val_total) else None,
+        "chosen_restart": stage2.restart, "val_total": stage2.recorded_val_total,
     })
     print(f"wrote {out}/partition.ckpt (restart {stage2.restart}, val total {stage2.val_total:.4f})")
     return EXIT_OK

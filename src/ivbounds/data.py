@@ -252,34 +252,47 @@ def outcome_range_from_train(train: SampleBatch) -> OutcomeRange:
 # ------------------------------------------------------------ csv i/o
 
 
-def _fmt(v: float) -> str:
+def fmt_float(v: float) -> str:
+    """A float with 17 significant digits: it reads back as the same bits."""
     return format(float(v), ".17g")
 
 
-def write_csv(batch: SampleBatch, path) -> None:
-    """Header z_0..z_{d-1},x,a,y,tau_true,pi_true,u[,rho]; 17 significant digits."""
+def write_rows(path, header: list[str], rows) -> None:
+    """The one csv dialect of the package: the header row, then ``rows`` as given
+    (each field as its ``str``), ``\\n`` line ends, in one file write."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = [f"z_{j}" for j in range(batch.d)] + ["x", "a", "y", "tau_true", "pi_true", "u"]
-    if batch.rho is not None:
-        header.append("rho")
     writer.writerow(header)
-    for i in range(len(batch)):
-        row = [_fmt(v) for v in batch.z[i]]
-        row += [_fmt(batch.x[i]), str(int(batch.a[i])), _fmt(batch.y[i])]
-        row += [_fmt(batch.tau_true[i]), _fmt(batch.pi_true[i]), _fmt(batch.u[i])]
-        if batch.rho is not None:
-            row.append(str(int(batch.rho[i])))
-        writer.writerow(row)
+    writer.writerows(rows)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
 
 
-def read_csv(path) -> SampleBatch:
+def read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """The header row and the other rows of a csv file, as strings."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def write_csv(batch: SampleBatch, path) -> None:
+    """Header z_0..z_{d-1},x,a,y,tau_true,pi_true,u[,rho]; 17 significant digits."""
+    header = [f"z_{j}" for j in range(batch.d)] + ["x", "a", "y", "tau_true", "pi_true", "u"]
+    if batch.rho is not None:
+        header.append("rho")
+    rows = []
+    for i in range(len(batch)):
+        row = [fmt_float(v) for v in batch.z[i]]
+        row += [fmt_float(batch.x[i]), str(int(batch.a[i])), fmt_float(batch.y[i])]
+        row += [fmt_float(batch.tau_true[i]), fmt_float(batch.pi_true[i]), fmt_float(batch.u[i])]
+        if batch.rho is not None:
+            row.append(str(int(batch.rho[i])))
+        rows.append(row)
+    write_rows(path, header, rows)
+
+
+def read_csv(path) -> SampleBatch:
+    header, rows = read_rows(path)
     d = sum(1 for name in header if name.startswith("z_"))
     has_rho = "rho" in header
     col = {name: i for i, name in enumerate(header)}

@@ -27,8 +27,8 @@ lockstep as one stacked net (see ``nuisance``), then the restarts of stage
 pools never nest, so the nets and restarts inside those runs train
 serially. Every run draws only from its own seeded streams, so the
 artifacts are the same bytes for every ``jobs`` value and worker count.
-All but ``bounds.csv`` are the same bytes for every BLAS thread count too
-(``tests/test_blas_threads.py``). OpenBLAS sums the bound aggregates over
+All but an ours run's ``bounds.csv`` are the same bytes for every BLAS thread
+count too (``tests/test_blas_threads.py``). OpenBLAS sums its aggregates over
 all aggregation samples in another order on 1 and on 2 threads, so a bound
 can move in the last bits when that count changes. The seed-0 golden test
 compares bounds at rtol 1e-12.
@@ -36,9 +36,7 @@ compares bounds at rtol 1e-12.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import time
 from dataclasses import asdict, dataclass, replace
@@ -194,8 +192,7 @@ def run_experiment(dataset: int, method: str, k: int, seed: int, n: int = 2000,
         stage2 = partition_stage(split, nuis, config, out)
         model = (stage2.net, nuis)
         extra["stage2_restart"] = stage2.restart
-        # Infinite when no validation cell holds both arms: unknown, not a number JSON can hold.
-        extra["stage2_val_total"] = stage2.val_total if np.isfinite(stage2.val_total) else None
+        extra["stage2_val_total"] = stage2.recorded_val_total
     elif method == "naive":
         model = naive_stage(split, config, out)
         extra["kmeans_inertia"] = model.kmeans.inertia
@@ -287,22 +284,14 @@ def render_table(rows: list[TableRow]) -> str:
     return "\n".join(fmt.format(*line) for line in [header, *lines]) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
-
-
 def write_table_csv(rows: list[TableRow], path: Path) -> None:
     cols = [
         "dataset", "method", "k", "coverage_mean", "coverage_sd", "width_mean", "width_sd",
         "msd_mean", "msd_sd", "oracle_coverage_mean", "oracle_coverage_sd",
         "oracle_mse_mean", "oracle_mse_sd",
     ]
-    _write_csv(path, cols, ([getattr(row, c) if getattr(row, c) is not None else "" for c in cols] for row in rows))
+    data.write_rows(path, cols, ([getattr(row, c) if getattr(row, c) is not None else "" for c in cols]
+                                 for row in rows))
 
 
 def reproduce_table(table: int, out_dir: Path | str, seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
@@ -319,9 +308,9 @@ def reproduce_table(table: int, out_dir: Path | str, seeds: tuple[int, ...] = (0
     write_table_csv(rows, _made(out) / f"table{table}.csv")
     (out / f"table{table}.txt").write_text(render_table(rows))
     # Plot-ready width-vs-k curve data (one row per run).
-    _write_csv(out / f"width_by_k_table{table}.csv", ["dataset", "method", "k", "seed", "mean_width", "coverage"],
-               ([r.dataset, r.method, r.k, r.seed, format(r.mean_width, ".17g"), format(r.coverage, ".17g")]
-                for r in reports))
+    data.write_rows(out / f"width_by_k_table{table}.csv", ["dataset", "method", "k", "seed", "mean_width", "coverage"],
+                    ([r.dataset, r.method, r.k, r.seed, data.fmt_float(r.mean_width), data.fmt_float(r.coverage)]
+                     for r in reports))
     write_manifest(out, f"reproduce-table{table}", {
         "table": table, "seeds": list(seeds), "n": n, "jobs": jobs, "overrides": overrides or {},
     })

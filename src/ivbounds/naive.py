@@ -3,7 +3,8 @@
 The baseline discretizes the instrument space by clustering alone (no
 outcome signal), refits the nuisance nets on one-hot cluster labels with
 the same architectures as the main method, and applies the
-discrete-instrument bounds over the k labels.
+discrete-instrument bounds over the k labels. ``naive_bounds`` reads each
+refit net in one ``predict``, on the k one-hot labels tiled over the queries.
 
 ``fit_naive`` clusters in the calling process, then fits the outcome and
 propensity nets in parallel through ``parallel.map_tasks`` (serially inside
@@ -145,19 +146,13 @@ def fit_naive(split: DatasetSplit, k: int, config: TrainConfig) -> NaiveFit:
 
 def naive_bounds(fit: NaiveFit, batch: SampleBatch, rng_range: OutcomeRange) -> tuple[bnd.BoundPair, dict]:
     """Discrete-instrument bounds over the k cluster labels at each query."""
-    k = fit.kmeans.k
-    eye = np.eye(k)
-    nq = len(batch)
-    pi = np.empty((nq, k))
-    mu1 = np.empty((nq, k))
-    mu0 = np.empty((nq, k))
-    for c in range(k):
-        zc = np.tile(eye[c], (nq, 1))
-        preds = fit.mu.predict(batch.x, zc)
-        mu0[:, c] = preds[:, 0]
-        mu1[:, c] = preds[:, 1]
-        pi[:, c] = fit.pi.predict(batch.x, zc)
-    pair = bnd.discrete_bounds_on_grid(batch.x, pi, mu1, mu0, rng_range)
+    k, nq = fit.kmeans.k, len(batch)
+    # One (nq, k) slice per label, each run through BLAS as that label's own predict
+    # call would be, so the bounds keep its bits (``predict_pairwise`` blocks would not).
+    labels = np.repeat(np.eye(k)[:, None, :], nq, axis=1)
+    preds = fit.mu.predict(batch.x, labels)
+    pi = fit.pi.predict(batch.x, labels)
+    pair = bnd.discrete_bounds_on_grid(batch.x, pi.T, preds[..., 1].T, preds[..., 0].T, rng_range)
     masses = np.bincount(fit.kmeans.assign(batch.z), minlength=k) / nq
     return pair, {"cell_masses": masses, "min_cell_mass": float(masses.min())}
 

@@ -351,9 +351,11 @@ class TwoBranchNet(_Net):
 
     def predict(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Shape (n,) for one head, else (n, heads): the outcome net gives
-        [arm 0, arm 1] columns."""
-        out = self._outputs_np(np.concatenate(self._encode_np(x, z), axis=1))
-        return out[0][:, 0] if len(out) == 1 else np.concatenate(out, axis=1)
+        [arm 0, arm 1] columns. A stack of instrument arrays z (c, n, ·) gives
+        one result per slice, each slice computed as its own call would."""
+        hx, hz = self._encode_np(x, z)
+        out = self._outputs_np(np.concatenate(np.broadcast_arrays(hx, hz), axis=-1))
+        return out[0][..., 0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
     def predict_pairwise(self, xq: np.ndarray, z: np.ndarray, block_pairs: int = PAIRWISE_BLOCK_PAIRS):
         """M[i, j] = prediction at (x_i, z_j), one (nq, nz) array per head:

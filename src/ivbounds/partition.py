@@ -1,20 +1,24 @@
 """Second stage: train the partition net on the composite loss.
 
-Per batch, straight-through cell weights feed the plug-in aggregates
-(``bounds.aggregate_cells``) and their min/max bounds
-(``bounds.bounds_on_grid``); the training loss is
+The frozen first-stage nuisances are read once on a grid of queries by
+aggregation samples (``BatchConstants``). One private builder makes every
+grid: a split's own (``batch_constants``) and the final bounds' test queries
+over all samples (``evaluate_bounds``). Per batch, straight-through cell
+weights feed the plug-in aggregates (``bounds.aggregate_cells``) and their
+min/max bounds (``bounds.bounds_on_grid``); the training loss is
 
     L = L_b + lam * L_reg + gamma * L_aux
 
 with L_b the mean bound width over the batch, L_reg the negative
 log-likelihood of the batch cell masses and L_aux the cross-entropy of the
-auxiliary head against the (stop-gradient) sampled assignments. First-stage
-nuisances are frozen throughout; validation (``composite_losses``) and final
-bound evaluation use noise-free argmax assignments and the same kernels.
-``composite_loss`` is a step's loss in numpy, with a hand-written backward to
-the net's two outputs; ``composite_loss_graph`` returns it, with no graph, as
-a ``LossRecord`` of the loss value, the two outputs by name and that backward,
-which ``autodiff.backward_grad`` runs (see ``autodiff`` for why that module
+auxiliary head against the (stop-gradient) sampled assignments. Its parts
+are one dict ``{l_b, l_reg, l_aux}``, which ``loss_total`` adds up.
+Validation (``composite_losses``) and final bound evaluation use noise-free
+argmax assignments and the same kernels. ``composite_loss`` is a step's loss
+in numpy, with a hand-written backward to the net's two outputs;
+``composite_loss_graph`` returns it, with no graph, as a ``LossRecord`` of the
+loss value, the two outputs by name and that backward, which
+``autodiff.backward_grad`` runs (see ``autodiff`` for why that module
 stays). The warm start differentiates ``cross_entropy`` directly.
 
 ``train_partition`` computes the batch constants once, decides the restart
@@ -32,8 +36,6 @@ restarts run serially.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import operator
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ from . import autodiff as ad
 from . import bounds as bnd
 from . import naive, nets  # called as naive.kmeans_fit, nets.adam_step: wrappers set on the modules apply
 from . import parallel
-from .data import DatasetSplit, OutcomeRange, SampleBatch, outcome_range_from_train
+from .data import DatasetSplit, OutcomeRange, SampleBatch, fmt_float, outcome_range_from_train, write_rows
 from .nets import NonFiniteError, PartitionNet, TrainConfig, TrainLog, sample_gumbel, train_with_early_stopping
 from .nuisance import NuisanceSet
 from .rng import stream_rng
@@ -57,24 +59,10 @@ MASS_CLAMP = 1e-8
 
 
 @dataclass
-class CompositeLossBreakdown:
-    l_b: float
-    l_reg: float
-    l_aux: float
-    lam: float
-    gamma: float
-
-    @property
-    def total(self) -> float:
-        return self.l_b + self.lam * self.l_reg + self.gamma * self.l_aux
-
-
-@dataclass
 class BatchConstants:
-    """Frozen nuisance evaluations for one set of samples.
-
-    Queries and aggregation samples are the same batch: m1[i, j] is the
-    arm-1 outcome prediction at (x_i, z_j).
+    """Frozen nuisance evaluations on a grid: m1[i, j] is the arm-1 outcome
+    prediction at (query x_i, aggregation sample z_j). ``subset`` is for a
+    split's own grid, whose queries are its samples' x.
     """
 
     m1: np.ndarray
@@ -95,18 +83,27 @@ class BatchConstants:
     def __len__(self) -> int:
         return len(self.a)
 
+    def aggregate(self, weights: np.ndarray) -> bnd.RepresentationNuisance:
+        """The plug-in per-cell aggregates at the queries for the samples' cell weights."""
+        return bnd.aggregate_cells(self.x, self.m1, self.m0, self.p, self.eta, self.a, weights)
+
+
+def _nuisance_grid(nuisances: NuisanceSet, xq: np.ndarray, z: np.ndarray, a: np.ndarray) -> BatchConstants:
+    """The frozen nuisances on the grid of queries ``xq`` by aggregation samples (z, a)."""
+    m0, m1 = nuisances.mu.predict_pairwise(xq, z)
+    return BatchConstants(m1=m1, m0=m0, p=nuisances.pi.predict_pairwise(xq, z), eta=nuisances.eta.predict(z),
+                          a=a.astype(np.float64), z=z, x=xq)
+
 
 def batch_constants(nuisances: NuisanceSet, batch: SampleBatch) -> BatchConstants:
-    m0, m1 = nuisances.mu.predict_pairwise(batch.x, batch.z)
-    return BatchConstants(
-        m1=m1,
-        m0=m0,
-        p=nuisances.pi.predict_pairwise(batch.x, batch.z),
-        eta=nuisances.eta.predict(batch.z),
-        a=batch.a.astype(np.float64),
-        z=batch.z,
-        x=batch.x,
-    )
+    """The grid of one split: its samples are both the queries and the aggregation samples."""
+    return _nuisance_grid(nuisances, batch.x, batch.z, batch.a)
+
+
+def loss_total(parts: dict, lam: float, gamma: float) -> float:
+    """The composite loss ``l_b + lam * l_reg + gamma * l_aux`` of its parts, added in
+    that order (the validation total's bits depend on it); a dropped L_b (``None``) counts as 0."""
+    return (0.0 if parts["l_b"] is None else parts["l_b"]) + lam * parts["l_reg"] + gamma * parts["l_aux"]
 
 
 def _mass_penalty(masses: np.ndarray) -> float:
@@ -131,6 +128,8 @@ def composite_loss(logits: np.ndarray, aux: np.ndarray, const: BatchConstants, r
     (total, parts, info, backward), ``backward(g)`` the gradients of
     ``g * total`` in ``logits`` and ``aux``. ``parts['l_b']`` is None when no
     valid (l, m) pair exists: the batch then trains on the regularizers alone.
+    ``total`` is ``l_b + (lam * l_reg + gamma * l_aux)``, the order the tests
+    hold bitwise; ``loss_total`` of the parts may differ from it in the last bit.
 
     The cell weights are ``nets.gumbel_softmax`` of the logits; ``hard`` makes
     them the exact one-hot of the row argmax, with the soft weights' backward
@@ -154,12 +153,12 @@ def composite_loss(logits: np.ndarray, aux: np.ndarray, const: BatchConstants, r
     # Stop-gradient labels: the sampled discrete assignment.
     l_aux, g_aux = cross_entropy(aux, bnd.one_hot(np.argmax(weights, axis=1), k), gamma)
 
-    rep = bnd.aggregate_cells(const.x, const.m1, const.m0, const.p, const.eta, const.a, weights)
+    rep = const.aggregate(weights)
     info = {"valid_l": rep.valid_l, "valid_m": rep.valid_m, "masses": masses.ravel().copy()}
     pair = None
     if rep.valid_l.any() and rep.valid_m.any():
         if not all(np.isfinite(v).all() for v in (rep.mu1, rep.mu0, rep.pi)):
-            raise ad.NonFiniteError(None, "cell aggregate")
+            raise NonFiniteError(None, "cell aggregate")
         pair = bnd.bounds_on_grid(rep, rng_range)
         l_b = np.mean(pair.width)
         total = l_b + (l_reg * lam + l_aux * gamma)
@@ -268,19 +267,21 @@ def composite_loss_and_grad(net: PartitionNet, const: BatchConstants, rng_range:
 
 
 def composite_losses(weights: np.ndarray, aux_logits: np.ndarray, const: BatchConstants,
-                     rng_range: OutcomeRange, lam: float, gamma: float) -> tuple[CompositeLossBreakdown, dict]:
-    """Numpy evaluation of the three loss terms for given cell weights."""
+                     rng_range: OutcomeRange, lam: float, gamma: float) -> tuple[float, dict, dict]:
+    """The composite loss for given cell weights, in numpy: (total, parts, info).
+    ``parts['l_b']`` is infinite when no valid (l, m) pair exists."""
     masses = weights.mean(axis=0)
     l_reg = float(_mass_penalty(masses))
     l_aux = cross_entropy(aux_logits, bnd.one_hot(np.argmax(weights, axis=1), weights.shape[1]))[0]
 
-    rep = bnd.aggregate_cells(const.x, const.m1, const.m0, const.p, const.eta, const.a, weights)
+    rep = const.aggregate(weights)
     info = {"valid_l": rep.valid_l, "valid_m": rep.valid_m, "masses": masses}
     if rep.valid_l.any() and rep.valid_m.any():
         l_b = float(np.mean(bnd.bounds_on_grid(rep, rng_range).width))
     else:
         l_b = np.inf
-    return CompositeLossBreakdown(l_b=l_b, l_reg=l_reg, l_aux=l_aux, lam=lam, gamma=gamma), info
+    parts = {"l_b": l_b, "l_reg": l_reg, "l_aux": l_aux}
+    return loss_total(parts, lam, gamma), parts, info
 
 
 def hard_assignment(net: PartitionNet, z: np.ndarray) -> np.ndarray:
@@ -289,12 +290,11 @@ def hard_assignment(net: PartitionNet, z: np.ndarray) -> np.ndarray:
 
 
 def validation_loss(net: PartitionNet, const: BatchConstants, rng_range: OutcomeRange,
-                    config: TrainConfig) -> tuple[float, CompositeLossBreakdown, dict]:
-    """Composite loss with deterministic hard assignments (no noise)."""
+                    config: TrainConfig) -> tuple[float, dict, dict]:
+    """``composite_losses`` with deterministic hard assignments (no noise)."""
     logits, aux = net.forward(const.z)
     weights = bnd.one_hot(np.argmax(logits, axis=1), net.k)
-    breakdown, info = composite_losses(weights, aux, const, rng_range, config.lam, config.gamma)
-    return breakdown.total, breakdown, info
+    return composite_losses(weights, aux, const, rng_range, config.lam, config.gamma)
 
 
 INIT_LOGIT_SCALE = 3.0
@@ -382,6 +382,12 @@ class Stage2Result:
     restart: int
     val_total: float
 
+    @property
+    def recorded_val_total(self) -> float | None:
+        """``val_total`` as manifests and metrics record it. It is infinite when no
+        validation cell holds both arms: unknown, not a number JSON can hold, so None."""
+        return self.val_total if np.isfinite(self.val_total) else None
+
 
 def _train_restart(split: DatasetSplit, config: TrainConfig, rng_range: OutcomeRange,
                    train_const: BatchConstants, val_const: BatchConstants, restart: int,
@@ -391,7 +397,7 @@ def _train_restart(split: DatasetSplit, config: TrainConfig, rng_range: OutcomeR
     if net is None:
         return None
     gumbel_rng = stream_rng(config.seed, f"partition-gumbel-{restart}")
-    batch_parts: list[CompositeLossBreakdown] = []
+    batch_parts: list[dict] = []
     epoch_rows: list[dict] = []
 
     def loss_fn(model, batch):
@@ -399,9 +405,7 @@ def _train_restart(split: DatasetSplit, config: TrainConfig, rng_range: OutcomeR
         const = train_const.subset(idx)
         noise = sample_gumbel((len(idx), config.k), gumbel_rng)
         root, parts, _ = composite_loss_and_grad(model, const, rng_range, config, noise, hard=True)
-        batch_parts.append(CompositeLossBreakdown(l_b=np.nan if parts["l_b"] is None else parts["l_b"],
-                                                  l_reg=parts["l_reg"], l_aux=parts["l_aux"],
-                                                  lam=config.lam, gamma=config.gamma))
+        batch_parts.append({**parts, "total": loss_total(parts, config.lam, config.gamma)})
         return float(root.value)
 
     def val_loss(model):
@@ -409,9 +413,9 @@ def _train_restart(split: DatasetSplit, config: TrainConfig, rng_range: OutcomeR
         means = dict.fromkeys(("l_b", "l_reg", "l_aux", "total"), np.nan)
         if batch_parts:
             with np.errstate(invalid="ignore"):  # every batch may have dropped L_b
-                means["l_b"] = float(np.nanmean([p.l_b for p in batch_parts]))
+                means["l_b"] = float(np.nanmean([np.nan if p["l_b"] is None else p["l_b"] for p in batch_parts]))
             for term in ("l_reg", "l_aux", "total"):
-                means[term] = float(np.mean([getattr(p, term) for p in batch_parts]))
+                means[term] = float(np.mean([p[term] for p in batch_parts]))
         epoch_rows.append({"epoch": len(epoch_rows), **means, "val_total": total,
                            "min_cell_mass": float(info["masses"].min())})
         batch_parts.clear()
@@ -454,11 +458,10 @@ def evaluate_bounds(net: PartitionNet, nuisances: NuisanceSet, split: DatasetSpl
     The plug-in sums run over the whole observational sample (train, val
     and test, in that order), as the estimator is defined over it.
     """
-    parts = (split.train, split.val, split.test)
-    agg_z = np.concatenate([b.z for b in parts])
-    agg_a = np.concatenate([b.a for b in parts])
+    splits = (split.train, split.val, split.test)
+    agg_z = np.concatenate([b.z for b in splits])
     weights = hard_assignment(net, agg_z)
-    rep = bnd.representation_from_estimates(nuisances, weights, agg_z, agg_a, split.test.x)
+    rep = _nuisance_grid(nuisances, split.test.x, agg_z, np.concatenate([b.a for b in splits])).aggregate(weights)
     pair = bnd.bounds_on_grid(rep, rng_range)
     masses = weights.mean(axis=0)
     diag = {
@@ -474,10 +477,5 @@ TRAIN_LOG_COLUMNS = ["epoch", "l_b", "l_reg", "l_aux", "total", "val_total", "mi
 
 
 def write_train_log_csv(rows: list[dict], path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAIN_LOG_COLUMNS)
-    for row in rows:
-        writer.writerow([row["epoch"]] + [format(float(row[c]), ".17g") for c in TRAIN_LOG_COLUMNS[1:]])
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    write_rows(path, TRAIN_LOG_COLUMNS, ([row["epoch"], *(fmt_float(row[c]) for c in TRAIN_LOG_COLUMNS[1:])]
+                                         for row in rows))

@@ -176,31 +176,15 @@ def test_criterion_6_oracle_validity():
     )
 
 
-def _synthetic_fns():
-    def mu_fn(x, z):
-        return 0.3 + 0.2 * x + 0.1 * np.sin(3.0 * z)
-
-    def eta_fn(z):
-        return 1.0 / (1.0 + np.exp(-1.2 * z))
-
-    def pi_fn(x, z):
-        return 0.5 + 0.3 * np.tanh(z) + 0.1 * x
-
-    return mu_fn, eta_fn, pi_fn
-
-
 def test_criterion_7_estimator_consistency():
-    mu_fn, eta_fn, pi_fn = _synthetic_fns()
     x = 0.3
-    pi_pop, mu_pop, _ = metrics.cell_nuisances(lambda xq, z: (pi_fn(xq, z), mu_fn(xq, z), mu_fn(xq, z)), eta_fn,
-                                               [0.0], np.array([x]))
+    pi_pop, mu_pop, _ = metrics.cell_nuisances(metrics.synthetic_nuisances, metrics.synthetic_eta, [0.0],
+                                               np.array([x]))
     deviations = []
     for n in (1_000, 10_000, 100_000):
         z = data._mixture_instrument(n, 5)
-        a = (stream_rng(5, "treat").random(n) < eta_fn(z)).astype(int)
-        weights = bounds.one_hot((z >= 0).astype(int), 2)
-        m = mu_fn(x, z)[None, :]
-        rep = bounds.aggregate_cells(np.array([x]), m, m, pi_fn(x, z)[None, :], eta_fn(z), a, weights)
+        a = (stream_rng(5, "treat").random(n) < metrics.synthetic_eta(z)).astype(int)
+        rep = metrics.synthetic_plugin_aggregates(x, z, a)
         mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
         dev = max(
             max(abs(mu_vals[c] - mu_pop[0, c]) for c in range(2)),

@@ -227,7 +227,7 @@ def test_straight_through_exact_onehot_and_identity_gradient():
     config = nets.TrainConfig(k=net.k, batch_size=len(const))
     _, parts, _, _ = partition.composite_loss(logits, aux, const, checks.LOSS_RANGE, config, noise, hard=True)
     weights = bounds.one_hot(np.argmax(nets.gumbel_softmax(logits, noise, 1.0), axis=1), net.k)
-    assert parts["l_b"] == partition.composite_losses(weights, aux, const, checks.LOSS_RANGE, 0.0, 0.0)[0].l_b
+    assert parts["l_b"] == partition.composite_losses(weights, aux, const, checks.LOSS_RANGE, 0.0, 0.0)[1]["l_b"]
 
 
 def test_determinism_bitwise():

@@ -117,35 +117,17 @@ def test_pi_aggregate_separable_split():
     np.testing.assert_array_equal(rep.pi[0], [0.0, 1.0])
 
 
-def _synthetic_mu(x, z):
-    return 0.3 + 0.2 * x + 0.1 * np.sin(3.0 * z)
-
-
-def _synthetic_eta(z):
-    return 1.0 / (1.0 + np.exp(-1.2 * z))
-
-
-def _synthetic_pi(x, z):
-    return 0.5 + 0.3 * np.tanh(z) + 0.1 * x
-
-
-def _synthetic_nuisances(x, z):
-    return _synthetic_pi(x, z), _synthetic_mu(x, z), _synthetic_mu(x, z)
-
-
 def test_plugin_aggregates_match_quadrature_oracle():
     # Fixed synthetic nuisances, dataset-1 instrument law, hard split at 0,
     # treatments sampled from the same eta so the population weight matches.
     n = 100_000
     x = 0.3
     z = data._mixture_instrument(n, 5)
-    a = (stream_rng(5, "treat").random(n) < _synthetic_eta(z)).astype(int)
-    weights = bounds.one_hot((z >= 0).astype(int), 2)
-
-    m = _synthetic_mu(x, z)[None, :]
-    rep = bounds.aggregate_cells(np.array([x]), m, m, _synthetic_pi(x, z)[None, :], _synthetic_eta(z), a, weights)
+    a = (stream_rng(5, "treat").random(n) < metrics.synthetic_eta(z)).astype(int)
+    rep = metrics.synthetic_plugin_aggregates(x, z, a)
     mu_vals, pi_vals = rep.mu1[0], rep.pi[0]
-    pi_pop, mu_pop, _ = metrics.cell_nuisances(_synthetic_nuisances, _synthetic_eta, [0.0], np.array([x]))
+    pi_pop, mu_pop, _ = metrics.cell_nuisances(metrics.synthetic_nuisances, metrics.synthetic_eta, [0.0],
+                                               np.array([x]))
     for cell in range(2):
         assert abs(mu_vals[cell] - mu_pop[0, cell]) < 0.02
         assert abs(pi_vals[cell] - pi_pop[0, cell]) < 0.01

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivbounds import InputError, data, naive
+from ivbounds import InputError, bounds, data, naive
 from ivbounds.nets import TrainConfig
 from ivbounds.rng import stream_rng
 
@@ -102,3 +102,25 @@ def test_naive_deterministic(d1_split):
     np.testing.assert_array_equal(p1.upper, p2.upper)
     for name in f1.mu.params:
         np.testing.assert_array_equal(f1.mu.params[name], f2.mu.params[name])
+
+
+def _per_cell_bounds(fit, batch, rng_range):
+    """Reference: read the nets one cell at a time on the query x with that cell's one-hot label tiled."""
+    k, nq = fit.kmeans.k, len(batch)
+    pi, mu1, mu0 = np.empty((nq, k)), np.empty((nq, k)), np.empty((nq, k))
+    for c in range(k):
+        zc = np.tile(np.eye(k)[c], (nq, 1))
+        preds = fit.mu.predict(batch.x, zc)
+        mu0[:, c], mu1[:, c] = preds[:, 0], preds[:, 1]
+        pi[:, c] = fit.pi.predict(batch.x, zc)
+    return bounds.discrete_bounds_on_grid(batch.x, pi, mu1, mu0, rng_range)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_naive_bounds_equal_the_per_cell_reference_bitwise(d1_split, k):
+    rng_range = data.outcome_range_from_train(d1_split.train)
+    fit = naive.fit_naive(d1_split, k, TrainConfig(seed=k, max_epochs=2, batch_size=64, k=k))
+    pair, _ = naive.naive_bounds(fit, d1_split.test, rng_range)
+    want = _per_cell_bounds(fit, d1_split.test, rng_range)
+    for name in ("lower", "upper", "upper_pair", "lower_pair"):
+        np.testing.assert_array_equal(getattr(pair, name), getattr(want, name), err_msg=name)

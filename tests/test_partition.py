@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbounds import bounds, data, nets, nuisance, partition
+from ivbounds import bounds, data, experiments, nets, nuisance, partition
 from ivbounds.data import OutcomeRange
 from ivbounds.nets import PartitionNet, TrainConfig, sample_gumbel
 from ivbounds.rng import stream_rng
@@ -31,9 +31,9 @@ def _flat_constants(n):
 
 
 def _l_reg(weights):
-    breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), _flat_constants(len(weights)), UNIT,
-                                              1.0, 0.0)
-    return breakdown.l_reg
+    _, parts, _ = partition.composite_losses(weights, np.zeros_like(weights), _flat_constants(len(weights)), UNIT,
+                                             1.0, 0.0)
+    return parts["l_reg"]
 
 
 def _soft_weights(net, z):
@@ -43,8 +43,8 @@ def _soft_weights(net, z):
 
 def _l_b(net, const, rng_range):
     weights = _soft_weights(net, const.z)
-    breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), const, rng_range, 0.0, 0.0)
-    return breakdown.l_b
+    _, parts, _ = partition.composite_losses(weights, np.zeros_like(weights), const, rng_range, 0.0, 0.0)
+    return parts["l_b"]
 
 
 def test_loss_reg_uniform_masses():
@@ -86,8 +86,8 @@ def test_loss_aux_perfect_head_and_uniform_head():
     def l_aux():
         _, aux = net.forward(z)
         weights = partition.hard_assignment(net, z)
-        breakdown, _ = partition.composite_losses(weights, aux, _flat_constants(len(z)), UNIT, 0.0, 1.0)
-        return breakdown.l_aux
+        _, parts, _ = partition.composite_losses(weights, aux, _flat_constants(len(z)), UNIT, 0.0, 1.0)
+        return parts["l_aux"]
 
     # Rig the aux head to copy the assignment logits scaled up: near-zero CE.
     net.params["aux.w"][:] = net.params["logits.w"] * 200.0
@@ -112,11 +112,13 @@ def test_loss_bound_equals_mean_of_bound_engine_widths(small_setup):
     batch = split.val
     const = partition.batch_constants(nuis, batch)
     weights = _soft_weights(net, batch.z)
-    breakdown, _ = partition.composite_losses(weights, np.zeros_like(weights), const, UNIT, 0.0, 0.0)
-    # Per-sample widths through the bound-engine path with the same weights.
-    rep = bounds.representation_from_estimates(nuis, weights, batch.z, batch.a, batch.x)
+    _, parts, _ = partition.composite_losses(weights, np.zeros_like(weights), const, UNIT, 0.0, 0.0)
+    # Per-sample widths through the bound kernels, on a grid built here from the nets.
+    m0, m1 = nuis.mu.predict_pairwise(batch.x, batch.z)
+    p = nuis.pi.predict_pairwise(batch.x, batch.z)
+    rep = bounds.aggregate_cells(batch.x, m1, m0, p, nuis.eta.predict(batch.z), batch.a, weights)
     pair = bounds.bounds_on_grid(rep, UNIT)
-    assert breakdown.l_b == pytest.approx(float(np.mean(pair.width)), abs=1e-12)
+    assert parts["l_b"] == pytest.approx(float(np.mean(pair.width)), abs=1e-12)
 
 
 def test_graph_loss_matches_numpy_loss(small_setup):
@@ -130,12 +132,12 @@ def test_graph_loss_matches_numpy_loss(small_setup):
     logits, aux_logits = net.forward(split.val.z)
     soft = nets.gumbel_softmax(logits, noise, config.temperature)
     weights = bounds.one_hot(np.argmax(soft, axis=1), 2)
-    breakdown, _ = partition.composite_losses(weights, aux_logits, const, UNIT, config.lam, config.gamma)
+    _, hard_parts, _ = partition.composite_losses(weights, aux_logits, const, UNIT, config.lam, config.gamma)
     soft_l_reg = float(-np.sum(np.log(np.maximum(soft.mean(axis=0), partition.MASS_CLAMP))))
-    assert parts["l_b"] == pytest.approx(breakdown.l_b, abs=1e-10)
+    assert parts["l_b"] == pytest.approx(hard_parts["l_b"], abs=1e-10)
     assert parts["l_reg"] == pytest.approx(soft_l_reg, abs=1e-10)
-    assert parts["l_aux"] == pytest.approx(breakdown.l_aux, abs=1e-10)
-    expected_total = breakdown.l_b + config.lam * soft_l_reg + config.gamma * breakdown.l_aux
+    assert parts["l_aux"] == pytest.approx(hard_parts["l_aux"], abs=1e-10)
+    expected_total = hard_parts["l_b"] + config.lam * soft_l_reg + config.gamma * hard_parts["l_aux"]
     assert float(root.value) == pytest.approx(expected_total, abs=1e-10)
 
 
@@ -421,3 +423,19 @@ def test_train_log_csv_round_trip(tmp_path, small_setup):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(partition.TRAIN_LOG_COLUMNS)
     assert len(path.read_text().splitlines()) == len(rows) + 1
+
+
+def test_train_log_total_is_the_loss_the_batches_trained_on(tmp_path):
+    # Batches of 4 on 24 training rows: some batch holds no valid (l, m) pair
+    # and drops L_b. Its total counts L_b as 0, as the loss it trained on did.
+    split = experiments.data_stage(1, 60, 1)
+    config = TrainConfig(seed=1, k=2, batch_size=4, max_epochs=3)
+    stage2 = experiments.partition_stage(split, experiments.nuisance_stage(split, config), config, tmp_path)
+    header, rows = data.read_rows(tmp_path / "train_log.csv")
+    logged = [dict(zip(header, map(float, row))) for row in rows]
+    assert len(logged) == len(stage2.log.train_loss)
+    sums_of_means = [r["l_b"] + config.lam * r["l_reg"] + config.gamma * r["l_aux"] for r in logged]
+    assert any(r["total"] < s - 1e-9 for r, s in zip(logged, sums_of_means)), "no batch dropped L_b"
+    for r, train_loss in zip(logged, stage2.log.train_loss):
+        assert np.isfinite(r["total"])
+        assert r["total"] == pytest.approx(train_loss, abs=1e-12)
